@@ -9,14 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ._numeric import frac
 from .capacity import eligible_plants
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .spotmarket import ClearingResult, MarketConfig, clear, make_offers
 
-__all__ = ["SweepPoint", "SweepResult", "clear_scenario", "sweep_p0", "find_first_change"]
+__all__ = [
+    "MAX_GRID_POINTS",
+    "SweepPoint",
+    "SweepResult",
+    "clear_scenario",
+    "p0_range",
+    "sweep_p0",
+    "find_first_change",
+]
+
+# Upper bound on the points of one p0 grid, so an untrusted grid spec cannot
+# pin the CPU or exhaust memory.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,10 +60,39 @@ def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingRe
     return clear(offers, scenario.plants, config)
 
 
+def _scaled(x: Fraction, den: int) -> int:
+    """x·den as an int; den must be a multiple of x's denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+    """The grid lo + i·step for i = 0, 1, ... up to hi inclusive (empty if
+    hi < lo).
+
+    The point count is checked before anything is allocated: a grid of more
+    than MAX_GRID_POINTS points raises ScenarioError.
+    """
+    count = max((hi - lo) // step + 1, 0)
+    if count > MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"p0 grid has {count} points, more than the limit of {MAX_GRID_POINTS}"
+        )
+    den = lcm(lo.denominator, step.denominator)
+    start, stride = _scaled(lo, den), _scaled(step, den)
+    return [Fraction(start + i * stride, den) for i in range(count)]
+
+
 def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     """Clear the scenario at every grid point, flagging merit-order changes.
 
-    Grid points are independent clearings; the output is ordered by p0.
+    Each point gives the same result as `clear_scenario` at that p0; the
+    output is ordered by p0. Scoring, eligibility and an integer scaling of
+    the plants are done once per scenario. Every offer mc_i + (1 - phi_i)·p0
+    is linear in p0: with one common denominator D over all mc_i and
+    1 - phi_i, the offers at p0 = a/b are (M_i·b + F_i·a) / (D·b) for the
+    integers M_i = mc_i·D and F_i = (1 - phi_i)·D, so each point sorts,
+    dispatches and sums plain ints and builds only its price and C_f as
+    Fractions.
     """
     if not scenario.plants:
         raise ValueError("scenario has no plants")
@@ -62,32 +104,75 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     if grid[0] < 0:
         raise ValueError("p0 grid must be non-negative")
 
-    eligible = set(
-        eligible_plants(
-            scenario.plants, scenario.flexibilities(), scenario.capacity.threshold
-        )
+    plants = scenario.plants
+    phi = scenario.flexibilities()
+    eligible = frozenset(
+        eligible_plants(plants, phi, scenario.capacity.threshold)
     )
+    n = len(plants)
+    ids = [p.id for p in plants]
+    fee_share = [1 - phi[pid] for pid in ids]
+    d = lcm(*(p.marginal_cost.denominator for p in plants),
+            *(f.denominator for f in fee_share))
+    mc_num = [_scaled(p.marginal_cost, d) for p in plants]
+    fee_num = [_scaled(f, d) for f in fee_share]
+    demand = scenario.market.demand
+    e = lcm(demand.denominator, *(p.capacity.denominator for p in plants))
+    cap = [_scaled(p.capacity, e) for p in plants]
+    q = _scaled(demand, e)
+    # merit_order breaks equal offers by higher phi, then plant id; the rank
+    # is added below the offer in the sort key, which keeps keys distinct.
+    rank = [0] * n
+    for r, i in enumerate(sorted(range(n), key=lambda i: (-phi[ids[i]], ids[i]))):
+        rank[i] = r
+
     points = []
     change_points = []
-    previous_order: tuple[str, ...] | None = None
+    order = list(range(n))
+    previous: list[int] | None = None
+    merit: tuple[str, ...] = ()
+    dispatched: frozenset[str] = frozenset()
+    reserve = eligible
     for p0 in grid:
-        result = clear_scenario(scenario, p0)
-        dispatched = frozenset(result.dispatch)
-        reserve = frozenset(eligible - dispatched)
+        a, b = p0.numerator, p0.denominator
+        keys = [(m * b + f * a) * n + r for m, f, r in zip(mc_num, fee_num, rank)]
+        # the previous point's order is nearly sorted, which timsort exploits
+        order = sorted(order, key=keys.__getitem__)
+        if order != previous:
+            merit = tuple(ids[i] for i in order)
+            if previous is not None:
+                change_points.append(p0)
+        if q == 0:
+            price = cf = Fraction(0)
+            prefix = 0
+        else:
+            # fill the merit order; in a blackout the loop runs to the end,
+            # dispatching every plant in full at the highest offer
+            served = fees = 0
+            for prefix, i in enumerate(order, 1):
+                served += cap[i]
+                fees += fee_num[i] * cap[i]
+                if served >= q:
+                    fees -= fee_num[i] * (served - q)  # marginal plant's unused MW
+                    break
+            price = Fraction(mc_num[i] * b + fee_num[i] * a, d * b)
+            cf = Fraction(a * fees, b * d * e)
+        now = frozenset(ids[i] for i in order[:prefix])
+        if now != dispatched:
+            dispatched = now
+            reserve = eligible - dispatched
+        previous = order
         points.append(
             SweepPoint(
                 p0=p0,
-                clearing_price=result.clearing_price,
-                merit_order=result.merit_order,
+                clearing_price=price,
+                merit_order=merit,
                 dispatched=dispatched,
-                total_fee_cf=result.total_fee_cf,
+                total_fee_cf=cf,
                 reserve=reserve,
                 paradox=bool(eligible) and not reserve,
             )
         )
-        if previous_order is not None and result.merit_order != previous_order:
-            change_points.append(p0)
-        previous_order = result.merit_order
     return SweepResult(tuple(points), tuple(change_points))
 
 
@@ -104,10 +189,5 @@ def find_first_change(
         raise ValueError("lo must be < hi")
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    base = clear_scenario(scenario, lo).merit_order
-    p0 = lo + resolution
-    while p0 <= hi:
-        if clear_scenario(scenario, p0).merit_order != base:
-            return p0
-        p0 += resolution
-    return None
+    changes = sweep_p0(scenario, p0_range(lo, hi, resolution)).change_points
+    return changes[0] if changes else None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._numeric import frac, to_number
-from .analysis import clear_scenario, sweep_p0
+from .analysis import clear_scenario, p0_range, sweep_p0
 from .capacity import UnallocatableFeeError, build_pool, settle
 from .reports import FORMATS, ROUNDING_MODES, emit_report, emit_settlement, emit_sweep
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -80,12 +80,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise ScenarioError(f"bad p0 grid {spec!r}, expected LO:HI:STEP") from None
     if step <= 0 or hi < lo:
         raise ScenarioError(f"bad p0 grid {spec!r}: need lo <= hi and step > 0")
-    grid = []
-    p0 = lo
-    while p0 <= hi:
-        grid.append(p0)
-        p0 += step
-    return grid
+    return p0_range(lo, hi, step)
 
 
 def _write(payload: bytes, output: str | None) -> None:

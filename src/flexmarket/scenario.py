@@ -193,10 +193,15 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     threshold = _number(cap.get("threshold", Fraction(1, 2)), "capacity.threshold")
     if not (0 < threshold < 1):
         raise InvalidNumberError("capacity.threshold: must lie in (0, 1)")
+    allow_overlap = cap.get("allow_overlap", False)
+    if not isinstance(allow_overlap, bool):
+        raise ScenarioParseError(
+            f"capacity.allow_overlap: expected true or false, got {allow_overlap!r}"
+        )
     capacity = CapacityConfig(
         threshold=threshold,
         participants=participants,
-        allow_overlap=bool(cap.get("allow_overlap", False)),
+        allow_overlap=allow_overlap,
     )
 
     measure_name = doc.get("measure", "hyperbolic")

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from flexmarket.analysis import clear_scenario, find_first_change, sweep_p0
+from flexmarket.analysis import (
+    MAX_GRID_POINTS,
+    clear_scenario,
+    find_first_change,
+    p0_range,
+    sweep_p0,
+)
 from flexmarket.capacity import eligible_plants
 from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant
-from flexmarket.scenario import Scenario, toy_grid
+from flexmarket.scenario import Scenario, ScenarioError, toy_grid
 from flexmarket.spotmarket import MarketConfig
 
 
@@ -85,8 +91,9 @@ class TestFindFirstChange:
 
     def test_golden_threshold_is_14(self, toy):
         # independently: lignite (40 + 0.9 p0) and CHP (50 + 17/117 p0)
-        # cross at p0 = 10 / (0.9 - 17/117) = 13.25, the earliest crossing,
-        # so the first integer grid point with a changed order is 14
+        # cross at p0 = 10 / (0.9 - 17/117) = 11700/883 ~ 13.2503, the
+        # earliest crossing, so the first integer grid point with a changed
+        # order is 14
         crossing = Fraction(10) / (Fraction(9, 10) - Fraction(17, 117))
         assert 13 < crossing < 14
         assert find_first_change(toy, Fraction(0), Fraction(70), Fraction(1)) == 14
@@ -100,3 +107,28 @@ class TestFindFirstChange:
             find_first_change(toy, Fraction(5), Fraction(5), Fraction(1))
         with pytest.raises(ValueError):
             find_first_change(toy, Fraction(0), Fraction(5), Fraction(0))
+
+    def test_grid_length_is_bounded(self, toy):
+        with pytest.raises(ScenarioError, match="limit"):
+            find_first_change(toy, Fraction(0), Fraction(10**9), Fraction(1))
+
+
+class TestP0Range:
+    def test_same_points_as_repeated_addition(self):
+        lo, hi, step = Fraction(1, 3), Fraction(7, 2), Fraction(2, 7)
+        expected = []
+        p0 = lo
+        while p0 <= hi:
+            expected.append(p0)
+            p0 += step
+        assert p0_range(lo, hi, step) == expected
+
+    def test_hi_is_inclusive_and_below_lo_is_empty(self):
+        assert p0_range(Fraction(0), Fraction(2), Fraction(1)) == [0, 1, 2]
+        assert p0_range(Fraction(2), Fraction(1), Fraction(1)) == []
+
+    def test_cap_allows_exactly_max_points(self):
+        top = Fraction(MAX_GRID_POINTS - 1)
+        assert len(p0_range(Fraction(0), top, Fraction(1))) == MAX_GRID_POINTS
+        with pytest.raises(ScenarioError):
+            p0_range(Fraction(0), top + 1, Fraction(1))

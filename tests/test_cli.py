@@ -90,6 +90,14 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", str(toy_grid_path), "--p0-grid", "10")
         assert code == 1
 
+    def test_oversized_grid_rejected_before_allocation(self, capsys, toy_grid_path):
+        code, out, err = run(
+            capsys, "sweep", str(toy_grid_path), "--p0-grid", "0:1000000000:1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "limit" in err
+
 
 class TestCapacity:
     def test_literal_cf_with_overlap(self, capsys, tmp_path, toy_grid_path):

@@ -79,6 +79,18 @@ class TestLoadScenario:
         scenario = load_scenario(write(tmp_path, "d.json", doc))
         assert scenario.plants[0].start_up_time.hours == Fraction(3, 25)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_allow_overlap_must_be_a_json_boolean(self, tmp_path, value):
+        doc = minimal_doc(capacity={"allow_overlap": value})
+        with pytest.raises(ScenarioParseError, match="allow_overlap"):
+            load_scenario(write(tmp_path, "o.json", doc))
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_allow_overlap_boolean_accepted(self, tmp_path, value):
+        doc = minimal_doc(capacity={"allow_overlap": value})
+        scenario = load_scenario(write(tmp_path, "o.json", doc))
+        assert scenario.capacity.allow_overlap is value
+
     def test_p0_grid(self, tmp_path):
         doc = minimal_doc(market={"p0_grid": [0, 10, 20], "demand_mw": 7})
         scenario = load_scenario(write(tmp_path, "g.json", doc))
