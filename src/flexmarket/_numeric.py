@@ -7,7 +7,25 @@ happens only at the reporting boundary, half away from zero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import groupby
+from typing import Any, Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+
+# Bounds on a numeric literal, checked before its Fraction is built. Fraction
+# scales a literal by 10**exponent, so "1e3000000" alone would cost seconds of
+# CPU; CPython's int-string digit limit (CVE-2020-10735) does not cover that.
+# Every float repr (at most 17 digits, exponents -324 to 308) is within them.
+MAX_SIGNIFICANT_DIGITS = 100
+MAX_DECIMAL_EXPONENT = 400
+
+_DECIMAL = re.compile(r"\s*([-+]?)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
+_RATIONAL = re.compile(r"\s*([-+]?)0*(\d+)/0*(\d+)\s*")
+
+# sorted_exact orders items first on floor(value * 2**_COARSE_BITS).
+_COARSE_BITS = 64
 
 
 def frac(value: int | float | str | Fraction) -> Fraction:
@@ -25,8 +43,88 @@ def frac(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_number(value)
     raise TypeError(f"cannot interpret {value!r} as a number")
+
+
+def parse_number(text: str) -> Fraction:
+    """The exact value of a numeric literal: decimal ("12.5", "-3e-2") or
+    rational ("7/4").
+
+    Raises ValueError for any other text and, before building anything, for
+    a literal with more than MAX_SIGNIFICANT_DIGITS significant digits (in
+    either part of a rational), or whose written exponent or leading digit's
+    decimal exponent lies beyond +/-MAX_DECIMAL_EXPONENT.
+    """
+    shown = repr(text if len(text) <= 40 else text[:37] + "...")
+    match = _DECIMAL.fullmatch(text)
+    if match is None or not (match[2] or match[3]):
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"invalid numeric literal {shown}")
+        sign, numerator, denominator = match.groups()
+        if max(len(numerator), len(denominator)) > MAX_SIGNIFICANT_DIGITS:
+            raise ValueError(
+                f"numeric literal {shown} has more than "
+                f"{MAX_SIGNIFICANT_DIGITS} significant digits"
+            )
+        if int(denominator) == 0:
+            raise ValueError(f"numeric literal {shown} divides by zero")
+        return Fraction(int(sign + numerator), int(denominator))
+    sign, whole, part, exponent = match.groups()
+    digits = whole + (part or "")
+    significant = digits.strip("0")
+    if not significant:
+        return Fraction(0)
+    if len(significant) > MAX_SIGNIFICANT_DIGITS:
+        raise ValueError(
+            f"numeric literal {shown} has more than {MAX_SIGNIFICANT_DIGITS} "
+            "significant digits"
+        )
+    # the value is significant·10**scale, its leading digit at 10**leading;
+    # an exponent with more digits than the bound is rejected unparsed
+    if exponent is None:
+        written = 0
+    elif len(exponent.lstrip("+-0")) > len(str(MAX_DECIMAL_EXPONENT)):
+        written = MAX_DECIMAL_EXPONENT + 1
+    else:
+        written = int(exponent)
+    leading = len(whole) - 1 - (len(digits) - len(digits.lstrip("0"))) + written
+    if max(abs(written), abs(leading)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"numeric literal {shown} is out of range: exponents beyond "
+            f"+/-{MAX_DECIMAL_EXPONENT} are not accepted"
+        )
+    scale = leading - len(significant) + 1
+    numerator = int(sign + significant)
+    if scale >= 0:
+        return Fraction(numerator * 10**scale)
+    return Fraction(numerator, 10**-scale)
+
+
+def sorted_exact(
+    items: Iterable[T],
+    value: Callable[[T], Fraction],
+    tiebreak: Callable[[T], Any],
+) -> list[T]:
+    """The items in ascending order of (value(item), tiebreak(item)).
+
+    Equal to `sorted(items, key=lambda x: (value(x), tiebreak(x)))`, but most
+    comparisons are between ints: the items are first sorted on the floor of
+    value·2**64, which never decreases as the value grows, and only runs of
+    items with equal floors are then sorted on the full exact key.
+    """
+    items = list(items)
+    values = [value(item) for item in items]
+    coarse = [(v.numerator << _COARSE_BITS) // v.denominator for v in values]
+    ordered: list[T] = []
+    for _, run in groupby(sorted(range(len(items)), key=coarse.__getitem__),
+                          key=coarse.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda i: (values[i], tiebreak(items[i])))
+        ordered.extend(items[i] for i in run)
+    return ordered
 
 
 def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from ._numeric import frac
+from ._numeric import frac, sorted_exact
 from .capacity import eligible_plants
 from .scenario import Scenario, ScenarioError
 from .spotmarket import ClearingResult, MarketConfig, clear, make_offers
@@ -123,7 +123,8 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     # merit_order breaks equal offers by higher phi, then plant id; the rank
     # is added below the offer in the sort key, which keeps keys distinct.
     rank = [0] * n
-    for r, i in enumerate(sorted(range(n), key=lambda i: (-phi[ids[i]], ids[i]))):
+    tie_order = sorted_exact(range(n), lambda i: -phi[ids[i]], ids.__getitem__)
+    for r, i in enumerate(tie_order):
         rank[i] = r
 
     points = []

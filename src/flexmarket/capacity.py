@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._numeric import frac
+from ._numeric import frac, sorted_exact
 from .plants import PlantFlexibility, PowerPlant, as_phi_map
 
 __all__ = [
@@ -72,9 +72,8 @@ def eligible_plants(
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie in (0, 1)")
     phi = as_phi_map(flexibilities)
-    chosen = [p for p in plants if phi[p.id] > threshold]
-    chosen.sort(key=lambda p: (-phi[p.id], p.id))
-    return [p.id for p in chosen]
+    chosen = [p.id for p in plants if phi[p.id] > threshold]
+    return sorted_exact(chosen, lambda pid: -phi[pid], lambda pid: pid)
 
 
 def build_pool(

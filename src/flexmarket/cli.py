@@ -132,7 +132,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     cf = result.total_fee_cf if (args.from_clearing or args.cf is None) else frac(args.cf)
     pool = build_pool(
         scenario.plants,
-        scenario.flexibilities(),
+        {offer.plant_id: offer.phi for offer in result.offers},  # scored once
         threshold=scenario.capacity.threshold,
         participants=scenario.capacity.participants,
         dispatched=result.dispatch,

@@ -11,8 +11,9 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from typing import Iterable
 
-from ._numeric import round_half_away, to_number
+from ._numeric import round_half_away, sorted_exact, to_number
 from .analysis import SweepResult
 from .capacity import CapacitySettlement
 from .spotmarket import ClearingResult, total_fee
@@ -217,16 +218,27 @@ def emit_sweep(
         "p0", "clearing_price", "merit_order", "dispatched",
         "total_fee_cf", "reserve", "paradox",
     ]
+    # sweep_p0 shares the order and the sets between points while they are
+    # unchanged, so each distinct object is joined once; the points hold
+    # every object alive, which keeps the ids unique meanwhile
+    joined: dict[int, str] = {}
+
+    def join(names: Iterable[str], sort: bool) -> str:
+        text = joined.get(id(names))
+        if text is None:
+            text = joined[id(names)] = "|".join(sorted(names) if sort else names)
+        return text
+
     rows = []
     for pt in sweep.points:
         rows.append(
             [
                 to_number(pt.p0),
                 _disp(pt.clearing_price, rounding_mode),
-                "|".join(pt.merit_order),
-                "|".join(sorted(pt.dispatched)),
+                join(pt.merit_order, sort=False),
+                join(pt.dispatched, sort=True),
                 _disp(pt.total_fee_cf, rounding_mode),
-                "|".join(sorted(pt.reserve)),
+                join(pt.reserve, sort=True),
                 pt.paradox,
             ]
         )
@@ -251,8 +263,8 @@ def emit_settlement(
     if format == "svg-stack":
         raise ValueError("svg-stack applies to clearings, not settlements")
     _check(format, rounding_mode)
-    items = sorted(
-        settlement.payments.items(), key=lambda kv: (-kv[1], kv[0])
+    items = sorted_exact(
+        settlement.payments.items(), lambda kv: -kv[1], lambda kv: kv[0]
     )
     rows = [[pid, _disp(value, rounding_mode)] for pid, value in items]
     headers = ["plant_id", "reliability_payment_eur_per_h"]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ._numeric import frac, to_number
+from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number, to_number
 from .flexibility import BUILTIN_MEASURES, FlexibilityMeasure, StartUpTime
 from .plants import PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
@@ -80,11 +80,32 @@ class Scenario:
         return flexibilities_for(self.plants, self.measure())
 
 
+# The keys each level of a scenario document may have.
+_TOP_KEYS = frozenset({"plants", "market", "capacity", "measure"})
+_PLANT_KEYS = frozenset(
+    {"id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"}
+)
+_MARKET_KEYS = frozenset({"p0_eur_per_mwh", "p0_grid", "demand_mw", "period_h"})
+_CAPACITY_KEYS = frozenset({"threshold", "participants", "allow_overlap"})
+
+
+def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
+    if not allowed.issuperset(record):
+        unknown = sorted(str(key) for key in record if key not in allowed)
+        prefix = f"{path}." if path else ""
+        raise ScenarioParseError(
+            f"{prefix}{unknown[0]}: unknown key (expected one of "
+            f"{', '.join(sorted(allowed))})"
+        )
+
+
 def _number(raw: object, path: str, *, minimum: Fraction | None = None) -> Fraction:
     try:
         value = frac(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except TypeError:
         raise InvalidNumberError(f"{path}: expected a number, got {raw!r}") from None
+    except ValueError as exc:
+        raise InvalidNumberError(f"{path}: expected a number: {exc}") from None
     if minimum is not None and value < minimum:
         raise InvalidNumberError(f"{path}: {value} is below minimum {minimum}")
     return value
@@ -100,6 +121,7 @@ def _start_up(raw: object, path: str) -> StartUpTime:
 
 
 def _plant_from_record(record: dict, path: str) -> PowerPlant:
+    _check_keys(record, _PLANT_KEYS, path)
     pid = record.get("id")
     if not isinstance(pid, str) or not pid:
         raise ScenarioParseError(f"{path}.id: expected a non-empty string")
@@ -130,6 +152,7 @@ def _check_unique_ids(plants: Sequence[PowerPlant]) -> None:
 def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
+    _check_keys(doc, _TOP_KEYS, "")
     raw_plants = doc.get("plants")
     if not isinstance(raw_plants, list) or not raw_plants:
         raise ScenarioParseError("plants: expected a non-empty list")
@@ -148,6 +171,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     market = doc.get("market", {})
     if not isinstance(market, dict):
         raise ScenarioParseError("market: expected an object")
+    _check_keys(market, _MARKET_KEYS, "market")
     p0_grid = None
     if "p0_grid" in market:
         raw_grid = market["p0_grid"]
@@ -172,11 +196,14 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             period=_number(market.get("period_h", 1), "market.period_h"),
         )
     except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
         raise InvalidNumberError(f"market: {exc}") from None
 
     cap = doc.get("capacity", {})
     if not isinstance(cap, dict):
         raise ScenarioParseError("capacity: expected an object")
+    _check_keys(cap, _CAPACITY_KEYS, "capacity")
     raw_participants = cap.get("participants", "auto")
     if raw_participants == "auto":
         participants = None
@@ -220,15 +247,28 @@ def _scenario_from_dict(doc: dict) -> Scenario:
 def _scenario_from_csv(text: str) -> Scenario:
     """Convenience plant-table format: one row per plant, market defaults."""
     reader = csv.DictReader(io.StringIO(text))
-    required = {"id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    if reader.fieldnames is None or set(reader.fieldnames) != _PLANT_KEYS:
         raise ScenarioParseError(
-            f"CSV plant table must have columns {sorted(required)}"
+            f"CSV plant table must have exactly the columns {sorted(_PLANT_KEYS)}, "
+            f"got {reader.fieldnames}"
         )
-    records = [dict(row) for row in reader]
+    records = []
+    for row in reader:
+        if None in row:  # DictReader's key for values beyond the header
+            raise ScenarioParseError(
+                f"CSV plant table, line {reader.line_num}: more values than columns"
+            )
+        records.append(row)
     if not records:
         raise ScenarioParseError("CSV plant table has no rows")
     return _scenario_from_dict({"plants": records})
+
+
+def _json_int(text: str) -> int | Fraction:
+    # a literal this short is within parse_number's bounds
+    if len(text) <= MAX_SIGNIFICANT_DIGITS:
+        return int(text)
+    return parse_number(text)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -238,9 +278,11 @@ def load_scenario(path: str | Path) -> Scenario:
     if path.suffix.lower() == ".csv":
         return _scenario_from_csv(text)
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=parse_number, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:  # a number beyond parse_number's bounds
+        raise InvalidNumberError(f"{path}: {exc}") from None
     return _scenario_from_dict(doc)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._numeric import frac, round_half_away
+from ._numeric import frac, round_half_away, sorted_exact
 from .plants import PlantFlexibility, PowerPlant, as_phi_map
 
 __all__ = [
@@ -106,7 +106,9 @@ def merit_order(offers: Sequence[Offer]) -> list[Offer]:
     """Ascending by offer price; ties broken by higher phi, then plant id."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    return sorted(offers, key=lambda o: (o.offer_price, -o.phi, o.plant_id))
+    return sorted_exact(
+        offers, lambda o: o.offer_price, lambda o: (-o.phi, o.plant_id)
+    )
 
 
 def clear(
@@ -122,9 +124,13 @@ def clear(
     highest offer), not an error, so reference-price sweeps can continue.
     """
     capacity = {p.id: p.capacity for p in plants}
+    offered: set[str] = set()
     for offer in offers:
         if offer.plant_id not in capacity:
             raise ValueError(f"offer references unknown plant {offer.plant_id!r}")
+        if offer.plant_id in offered:
+            raise ValueError(f"two offers for plant {offer.plant_id!r}")
+        offered.add(offer.plant_id)
     total_capacity = sum((capacity[o.plant_id] for o in offers), Fraction(0))
     demand = config.demand
 

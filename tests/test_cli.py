@@ -29,6 +29,24 @@ class TestValidate:
         assert code == 1
         assert "validation" in err
 
+    def test_mistyped_demand_exit_1(self, capsys, tmp_path, toy_grid_path):
+        doc = json.loads(toy_grid_path.read_text())
+        doc["market"]["demand"] = doc["market"].pop("demand_mw")
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "clear", str(path))
+        assert (code, out) == (1, "")
+        assert "market.demand" in err
+
+    @pytest.mark.parametrize("literal", ["1e3000000", '"1e3000000"'])
+    def test_huge_number_exit_1(self, capsys, tmp_path, toy_grid_path, literal):
+        text = toy_grid_path.read_text().replace('"demand_mw": 25', f'"demand_mw": {literal}')
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "out of range" in err
+
 
 class TestClear:
     def test_default(self, capsys, toy_grid_path):

@@ -1,0 +1,121 @@
+"""The exact two-stage sort and the bounded numeric-literal parser."""
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flexmarket._numeric import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_SIGNIFICANT_DIGITS,
+    parse_number,
+    sorted_exact,
+)
+
+# Values that stress the integer floor key floor(v·2**64): equal values,
+# values closer together than 2**-64, negatives, and large numerators and
+# denominators.
+base = st.one_of(
+    st.integers(min_value=-50, max_value=50).map(Fraction),
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**300), max_value=2**300),
+        st.integers(min_value=1, max_value=2**300),
+    ),
+)
+values = st.one_of(
+    base,
+    st.builds(
+        lambda v, k, bits: v + Fraction(k, 2**bits),
+        base,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=60, max_value=200),
+    ),
+)
+ids = st.sampled_from(["a", "b", "c", "d"])  # few ids, so duplicates are common
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ids, values), max_size=40), st.data())
+def test_sorted_exact_matches_sorted_on_the_exact_key(pairs, data):
+    # items reuse earlier values exactly, so equal values occur in every size
+    items = [
+        (pid, data.draw(st.sampled_from([v for _, v in pairs[: i + 1]])), i)
+        for i, (pid, v) in enumerate(pairs)
+    ]
+    expected = sorted(items, key=lambda item: (item[1], item[0]))
+    # the index in each item also checks that equal keys keep input order
+    assert sorted_exact(items, lambda item: item[1], lambda item: item[0]) == expected
+
+
+def test_sorted_exact_orders_values_closer_than_the_floor_key():
+    tiny = Fraction(1, 2**100)
+    items = ["x", "y", "z"]
+    value = {"x": 1 + 2 * tiny, "y": 1 + tiny, "z": Fraction(1)}
+    assert sorted_exact(items, value.__getitem__, str) == ["z", "y", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=-(10**40), max_value=10**40).map(str),
+        st.decimals(min_value=-(10**30), max_value=10**30, places=12).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.fractions(max_denominator=10**6).map(str),
+        st.builds(
+            lambda m, e: f"{m}e{e}",
+            st.integers(min_value=-(10**20), max_value=10**20),
+            st.integers(min_value=-300, max_value=300),
+        ),
+    )
+)
+def test_parse_number_matches_fraction_within_the_bounds(text):
+    try:
+        exact = Fraction(text)
+    except ValueError:  # a Decimal such as "sNaN" or a form Fraction lacks
+        return
+    assert parse_number(text) == exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_float_repr_loads(x):
+    assert parse_number(repr(x)) == Fraction(repr(x))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e3000000",
+        "1E3000000",
+        "-1e-3000000",
+        f"1e{MAX_DECIMAL_EXPONENT + 1}",
+        f"1e-{MAX_DECIMAL_EXPONENT + 1}",
+        f"0.{'0' * MAX_DECIMAL_EXPONENT}1",
+        "1" * (MAX_SIGNIFICANT_DIGITS + 1),
+        "0." + "7" * (MAX_SIGNIFICANT_DIGITS + 1),
+        "1/" + "3" * (MAX_SIGNIFICANT_DIGITS + 1),
+        "1e" + "9" * 5000,
+    ],
+)
+def test_oversized_literals_rejected_before_building(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="numeric literal"):
+        parse_number(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{MAX_DECIMAL_EXPONENT}", f"-9.5e-{MAX_DECIMAL_EXPONENT}",
+             "1" + "0" * 300, "9" * MAX_SIGNIFICANT_DIGITS, "0e999999999"]
+)
+def test_literals_at_the_bounds_accepted(text):
+    assert parse_number(text) == (0 if text == "0e999999999" else Fraction(text))
+
+
+@pytest.mark.parametrize("text", ["", ".", "e5", "1e", "inf", "nan", "1/0", "3 / 4"])
+def test_malformed_literals_rejected(text):
+    with pytest.raises(ValueError):
+        parse_number(text)

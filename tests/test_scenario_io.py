@@ -1,7 +1,13 @@
 import json
+import re
+import tempfile
+import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexmarket.scenario import (
     DuplicatePlantIdError,
@@ -12,6 +18,7 @@ from flexmarket.scenario import (
     scenario_to_json,
     toy_grid,
 )
+from flexmarket.spotmarket import MarketConfig
 
 
 def write(tmp_path, name, doc):
@@ -91,6 +98,48 @@ class TestLoadScenario:
         scenario = load_scenario(write(tmp_path, "o.json", doc))
         assert scenario.capacity.allow_overlap is value
 
+    def test_mistyped_demand_key_rejected(self, tmp_path):
+        # "demand" for "demand_mw" used to clear silently at zero demand
+        doc = minimal_doc(market={"p0_eur_per_mwh": 10, "demand": 7})
+        with pytest.raises(ScenarioParseError, match=r"market\.demand\b"):
+            load_scenario(write(tmp_path, "typo.json", doc))
+
+    @pytest.mark.parametrize(
+        "level, path",
+        [
+            ("top", "demand_mw"),
+            ("plant", "plants[1].capacity"),
+            ("market", "market.p0"),
+            ("capacity", "capacity.threshhold"),
+        ],
+    )
+    def test_unknown_key_rejected_at_every_level(self, tmp_path, level, path):
+        doc = minimal_doc(capacity={"threshold": 0.5})
+        key = path.rsplit(".", 1)[-1]
+        target = {
+            "top": doc,
+            "plant": doc["plants"][1],
+            "market": doc["market"],
+            "capacity": doc["capacity"],
+        }[level]
+        target[key] = 1
+        with pytest.raises(ScenarioParseError, match=re.escape(path)):
+            load_scenario(write(tmp_path, "k.json", doc))
+
+    @pytest.mark.parametrize("literal", ["1e3000000", '"1e3000000"'])
+    def test_huge_exponent_rejected_quickly(self, tmp_path, literal):
+        text = json.dumps(minimal_doc()).replace('"demand_mw": 7', f'"demand_mw": {literal}')
+        path = write(tmp_path, "huge.json", text)
+        start = time.perf_counter()
+        with pytest.raises(InvalidNumberError, match="out of range"):
+            load_scenario(path)
+        assert time.perf_counter() - start < 0.1
+
+    def test_too_many_digits_rejected(self, tmp_path):
+        text = json.dumps(minimal_doc()).replace('"demand_mw": 7', f'"demand_mw": {"7" * 200}')
+        with pytest.raises(InvalidNumberError, match="significant digits"):
+            load_scenario(write(tmp_path, "long.json", text))
+
     def test_p0_grid(self, tmp_path):
         doc = minimal_doc(market={"p0_grid": [0, 10, 20], "demand_mw": 7})
         scenario = load_scenario(write(tmp_path, "g.json", doc))
@@ -111,6 +160,22 @@ class TestLoadScenario:
         with pytest.raises(ScenarioParseError):
             load_scenario(write(tmp_path, "bad.csv", "id,capacity_mw\na,5\n"))
 
+    def test_csv_unknown_column(self, tmp_path):
+        csv_text = (
+            "id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw,demand_mw\n"
+            "fast,0.1,30,5,20\n"
+        )
+        with pytest.raises(ScenarioParseError, match="demand_mw"):
+            load_scenario(write(tmp_path, "extra.csv", csv_text))
+
+    def test_csv_row_longer_than_header(self, tmp_path):
+        csv_text = (
+            "id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw\n"
+            "fast,0.1,30,5,20\n"
+        )
+        with pytest.raises(ScenarioParseError, match="more values"):
+            load_scenario(write(tmp_path, "long.csv", csv_text))
+
 
 class TestRoundTrip:
     def test_json_round_trip(self, tmp_path):
@@ -118,6 +183,16 @@ class TestRoundTrip:
         path = tmp_path / "rt.json"
         path.write_bytes(scenario_to_json(scenario))
         assert load_scenario(path) == scenario
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+    def test_every_written_float_loads(self, x):
+        # scenario_to_json writes non-integral values as float reprs
+        scenario = replace(toy_grid(10, 25), market=MarketConfig(10, x))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.json"
+            path.write_bytes(scenario_to_json(scenario))
+            assert load_scenario(path).market.demand == Fraction(repr(x))
 
     def test_round_trip_is_stable(self, tmp_path):
         scenario = toy_grid(10, 25)

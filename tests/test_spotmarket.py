@@ -105,6 +105,14 @@ class TestClear:
         assert result.clearing_price == Fraction(50) + Fraction(17, 117) * 10
         assert abs(result.clearing_price - Fraction("51.45")) < Fraction("0.005")
 
+    def test_duplicate_offer_for_one_plant_rejected(self):
+        plants = [simple_plant("a", mc=10), simple_plant("b", mc=20)]
+        config = MarketConfig(10, 7)
+        offers = make_offers(plants, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, config)
+        cheaper = Offer("a", Fraction(1), Fraction(0), Fraction(1, 2))
+        with pytest.raises(ValueError, match="'a'"):
+            clear(offers + [cheaper], plants, config)
+
     def test_zero_demand(self):
         result = clear_scenario(toy_grid(10, 0))
         assert result.dispatch == {}
