@@ -17,7 +17,7 @@ from .flexibility import (
     hyperbolic_measure,
     validate_measure,
 )
-from .plants import PlantFlexibility, PowerPlant, flexibilities_for, flexibility_of
+from .plants import PowerPlant, flexibilities_for
 from .reports import emit_report, emit_settlement, emit_sweep
 from .scenario import (
     Scenario,

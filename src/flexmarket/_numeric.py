@@ -136,8 +136,19 @@ def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:
     return Fraction(sign * ((2 * abs(n) + d) // (2 * d)), scale)
 
 
+def to_float(x: Fraction) -> float:
+    """The nearest float to x; ValueError if x is beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(
+            f"a value of about 2**{x.numerator.bit_length() - x.denominator.bit_length()}"
+            " is too large to report as a float"
+        ) from None
+
+
 def to_number(x: Fraction) -> int | float:
     """Render a Fraction as an int when integral, else a float."""
     if x.denominator == 1:
         return int(x)
-    return float(x)
+    return to_float(x)

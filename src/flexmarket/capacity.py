@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._numeric import frac, sorted_exact
-from .plants import PlantFlexibility, PowerPlant, as_phi_map
+from .plants import PowerPlant
 
 __all__ = [
     "UnallocatableFeeError",
@@ -64,21 +64,20 @@ class CapacitySettlement:
 
 def eligible_plants(
     plants: Sequence[PowerPlant],
-    flexibilities: Mapping[str, Fraction] | Iterable[PlantFlexibility],
+    phi: Mapping[str, Fraction],
     threshold: Fraction = Fraction(1, 2),
 ) -> list[str]:
     """Plant ids with phi strictly above the threshold, by descending phi."""
     threshold = frac(threshold)
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie in (0, 1)")
-    phi = as_phi_map(flexibilities)
     chosen = [p.id for p in plants if phi[p.id] > threshold]
     return sorted_exact(chosen, lambda pid: -phi[pid], lambda pid: pid)
 
 
 def build_pool(
     plants: Sequence[PowerPlant],
-    flexibilities: Mapping[str, Fraction] | Iterable[PlantFlexibility],
+    phi: Mapping[str, Fraction],
     *,
     threshold: Fraction = Fraction(1, 2),
     participants: Sequence[str] | None = None,
@@ -92,7 +91,6 @@ def build_pool(
     for eligibility, and for disjointness from the dispatched set unless
     `allow_overlap` is set.
     """
-    phi = as_phi_map(flexibilities)
     by_id = {p.id: p for p in plants}
     dispatched = set(dispatched)
     if participants is None:

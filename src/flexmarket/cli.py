@@ -59,11 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="settle reliability payments")
     add_common(p_cap)
-    group = p_cap.add_mutually_exclusive_group()
-    group.add_argument("--cf", help="fee pool C_f in EUR/h")
-    group.add_argument(
-        "--from-clearing", action="store_true",
-        help="take C_f from a spot clearing of the same scenario",
+    p_cap.add_argument(
+        "--cf", help="fee pool C_f in EUR/h (default: from a spot clearing)"
     )
     p_cap.add_argument(
         "--allow-overlap", action="store_true",
@@ -129,7 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_capacity(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = clear_scenario(scenario)
-    cf = result.total_fee_cf if (args.from_clearing or args.cf is None) else frac(args.cf)
+    cf = result.total_fee_cf if args.cf is None else frac(args.cf)
     pool = build_pool(
         scenario.plants,
         {offer.plant_id: offer.phi for offer in result.offers},  # scored once

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._numeric import frac
 from .flexibility import FlexibilityMeasure, StartUpTime
 
-__all__ = ["PowerPlant", "PlantFlexibility", "flexibility_of", "flexibilities_for"]
+__all__ = ["PowerPlant", "flexibilities_for"]
 
 
 @dataclass(frozen=True)
@@ -33,32 +33,9 @@ class PowerPlant:
             raise ValueError(f"{self.id}: capacity must be > 0")
 
 
-@dataclass(frozen=True)
-class PlantFlexibility:
-    plant_id: str
-    phi: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phi", frac(self.phi))
-        if not (0 <= self.phi <= 1):
-            raise ValueError(f"{self.plant_id}: phi must lie in [0, 1]")
-
-
-def flexibility_of(plant: PowerPlant, measure: FlexibilityMeasure) -> PlantFlexibility:
-    """Score one plant; the score is carried at full precision, unrounded."""
-    return PlantFlexibility(plant.id, measure(plant.start_up_time))
-
-
 def flexibilities_for(
     plants: Iterable[PowerPlant], measure: FlexibilityMeasure
 ) -> dict[str, Fraction]:
     """Map plant id -> flexibility score for a plant list."""
     return {p.id: measure(p.start_up_time) for p in plants}
 
-
-def as_phi_map(
-    flexibilities: Mapping[str, Fraction] | Iterable[PlantFlexibility],
-) -> dict[str, Fraction]:
-    if isinstance(flexibilities, Mapping):
-        return {pid: frac(phi) for pid, phi in flexibilities.items()}
-    return {f.plant_id: f.phi for f in flexibilities}

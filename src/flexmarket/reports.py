@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Iterable
 
-from ._numeric import round_half_away, sorted_exact, to_number
+from ._numeric import round_half_away, sorted_exact, to_float, to_number
 from .analysis import SweepResult
 from .capacity import CapacitySettlement
 from .spotmarket import ClearingResult, total_fee
@@ -51,7 +51,7 @@ def _clearing_rows(result: ClearingResult, mode: str) -> list[dict]:
                 "phi": to_number(offer.phi),
                 "fee_rate_eur_per_mwh": _disp(offer.fee_rate, mode),
                 "offer_eur_per_mwh": _disp(offer.offer_price, mode),
-                "capacity_mw": to_number(result.capacities[pid]),
+                "capacity_mw": to_number(offer.capacity),
                 "dispatch_mw": to_number(dispatched) if dispatched is not None else 0,
                 "profit_margin_eur_per_mwh": _disp(profit.margin, mode)
                 if profit
@@ -67,9 +67,7 @@ def _clearing_rows(result: ClearingResult, mode: str) -> list[dict]:
 def _clearing_summary(result: ClearingResult, mode: str) -> dict:
     return {
         "clearing_price_eur_per_mwh": _disp(result.clearing_price, mode),
-        "total_fee_cf_eur_per_h": _disp(total_fee(result, "exact"), mode)
-        if mode == "exact"
-        else _disp(total_fee(result, "paper-rounded"), mode),
+        "total_fee_cf_eur_per_h": _disp(total_fee(result, mode), mode),
         "consumed_energy_mwh": to_number(result.consumed_energy),
         "total_capacity_mw": to_number(result.total_capacity),
         "blackout": result.blackout,
@@ -144,12 +142,11 @@ def _svg_stack(result: ClearingResult) -> bytes:
     width, height = 800.0, 400.0
     margin = 50.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    total_mw = float(result.total_capacity) or 1.0
-    max_price = max(
-        [float(o.offer_price) for o in result.offers]
-        + [float(result.clearing_price), 1.0]
-    )
-    demand_mw = float(sum(result.dispatch.values(), Fraction(0)))
+    total_mw = to_float(result.total_capacity) or 1.0
+    clearing_price = to_float(result.clearing_price)
+    max_price = max([to_float(o.offer_price) for o in result.offers]
+                    + [clearing_price, 1.0])
+    demand_mw = to_float(sum(result.dispatch.values(), Fraction(0)))
 
     def x(mw: float) -> float:
         return margin + plot_w * mw / total_mw
@@ -168,8 +165,8 @@ def _svg_stack(result: ClearingResult) -> bytes:
     ]
     cursor = 0.0
     for i, offer in enumerate(result.offers):
-        mw = float(result.capacities[offer.plant_id])
-        price = float(offer.offer_price)
+        mw = to_float(offer.capacity)
+        price = to_float(offer.offer_price)
         x0, x1 = x(cursor), x(cursor + mw)
         y0 = y(price)
         fill = _PALETTE[i % len(_PALETTE)]
@@ -182,14 +179,14 @@ def _svg_stack(result: ClearingResult) -> bytes:
             f'font-size="10" text-anchor="middle">{offer.plant_id}</text>'
         )
         cursor += mw
-    p_star_y = y(float(result.clearing_price))
+    p_star_y = y(clearing_price)
     parts.append(
         f'<line x1="{margin}" y1="{p_star_y:.2f}" x2="{width - margin}" '
         f'y2="{p_star_y:.2f}" stroke="red" stroke-dasharray="6,4"/>'
     )
     parts.append(
         f'<text x="{margin + 4:.0f}" y="{p_star_y - 4:.2f}" font-size="11" '
-        f'fill="red">p* = {float(result.clearing_price):g} EUR/MWh</text>'
+        f'fill="red">p* = {clearing_price:g} EUR/MWh</text>'
     )
     if demand_mw > 0:
         demand_x = x(demand_mw)

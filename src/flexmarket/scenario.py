@@ -64,7 +64,6 @@ class CapacityConfig:
 class Scenario:
     plants: tuple[PowerPlant, ...]
     market: MarketConfig
-    p0_grid: tuple[Fraction, ...] | None = None
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     measure_name: str = "hyperbolic"
 
@@ -85,7 +84,7 @@ _TOP_KEYS = frozenset({"plants", "market", "capacity", "measure"})
 _PLANT_KEYS = frozenset(
     {"id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"}
 )
-_MARKET_KEYS = frozenset({"p0_eur_per_mwh", "p0_grid", "demand_mw", "period_h"})
+_MARKET_KEYS = frozenset({"p0_eur_per_mwh", "demand_mw", "period_h"})
 _CAPACITY_KEYS = frozenset({"threshold", "participants", "allow_overlap"})
 
 
@@ -172,25 +171,10 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(market, dict):
         raise ScenarioParseError("market: expected an object")
     _check_keys(market, _MARKET_KEYS, "market")
-    p0_grid = None
-    if "p0_grid" in market:
-        raw_grid = market["p0_grid"]
-        if not isinstance(raw_grid, list) or not raw_grid:
-            raise ScenarioParseError("market.p0_grid: expected a non-empty list")
-        p0_grid = tuple(
-            _number(v, f"market.p0_grid[{i}]", minimum=Fraction(0))
-            for i, v in enumerate(raw_grid)
-        )
-        p0 = p0_grid[0]
-    else:
-        p0 = _number(
-            market.get("p0_eur_per_mwh", 0),
-            "market.p0_eur_per_mwh",
-            minimum=Fraction(0),
-        )
     try:
         config = MarketConfig(
-            reference_price_p0=p0,
+            reference_price_p0=_number(market.get("p0_eur_per_mwh", 0),
+                                       "market.p0_eur_per_mwh", minimum=Fraction(0)),
             demand=_number(market.get("demand_mw", 0), "market.demand_mw",
                            minimum=Fraction(0)),
             period=_number(market.get("period_h", 1), "market.period_h"),
@@ -210,7 +194,11 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     elif isinstance(raw_participants, list):
         participants = tuple(raw_participants)
         known = {p.id for p in plants}
-        for pid in participants:
+        for i, pid in enumerate(participants):
+            if not isinstance(pid, str):
+                raise ScenarioParseError(
+                    f"capacity.participants[{i}]: expected a plant id string, got {pid!r}"
+                )
             if pid not in known:
                 raise ScenarioParseError(
                     f"capacity.participants: unknown plant id {pid!r}"
@@ -232,13 +220,14 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     )
 
     measure_name = doc.get("measure", "hyperbolic")
+    if not isinstance(measure_name, str):
+        raise ScenarioParseError(f"measure: expected a measure name, got {measure_name!r}")
     if measure_name not in BUILTIN_MEASURES:
         raise UnknownMeasureError(f"measure: unknown measure {measure_name!r}")
 
     return Scenario(
         plants=tuple(plants),
         market=config,
-        p0_grid=p0_grid,
         capacity=capacity,
         measure_name=measure_name,
     )
@@ -298,17 +287,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         }
         for p in scenario.plants
     ]
-    market: dict = {
-        "demand_mw": to_number(scenario.market.demand),
-        "period_h": to_number(scenario.market.period),
-    }
-    if scenario.p0_grid is not None:
-        market["p0_grid"] = [to_number(v) for v in scenario.p0_grid]
-    else:
-        market["p0_eur_per_mwh"] = to_number(scenario.market.reference_price_p0)
     return {
         "plants": plants,
-        "market": market,
+        "market": {
+            "p0_eur_per_mwh": to_number(scenario.market.reference_price_p0),
+            "demand_mw": to_number(scenario.market.demand),
+            "period_h": to_number(scenario.market.period),
+        },
         "capacity": {
             "threshold": to_number(scenario.capacity.threshold),
             "participants": "auto"
@@ -330,7 +315,7 @@ def toy_grid(
     p0: Fraction | int | str = 10,
     demand: Fraction | int | str = 25,
 ) -> Scenario:
-    """The bundled eight-plant toy grid (all capacities 5 MW)."""
+    """The bundled eight-plant toy grid (5 MW each)."""
     rows = [
         ("wind", None, 1),
         ("hydro", "0.02", 1),

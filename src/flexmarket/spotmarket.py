@@ -11,12 +11,12 @@ funds the capacity mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._numeric import frac, round_half_away, sorted_exact
-from .plants import PlantFlexibility, PowerPlant, as_phi_map
+from .plants import PowerPlant
 
 __all__ = [
     "MarketConfig",
@@ -53,12 +53,14 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class Offer:
-    """A sell bid: offer_price = marginal_cost + fee_rate, exactly."""
+    """A sell bid of the plant's capacity (MW) at offer_price =
+    marginal_cost + fee_rate, exactly."""
 
     plant_id: str
     offer_price: Fraction
     fee_rate: Fraction
     phi: Fraction
+    capacity: Fraction
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class Profit:
 
 @dataclass(frozen=True)
 class ClearingResult:
-    merit_order: tuple[str, ...]
     clearing_price: Fraction
     dispatch: dict[str, Fraction]
     profits: dict[str, Profit]
@@ -79,26 +80,30 @@ class ClearingResult:
     total_fee_cf: Fraction
     consumed_energy: Fraction
     blackout: bool
-    total_capacity: Fraction
-    offers: tuple[Offer, ...] = field(default=(), repr=False)
-    capacities: dict[str, Fraction] = field(default_factory=dict, repr=False)
+    offers: tuple[Offer, ...] = ()  # in merit order
+
+    @property
+    def merit_order(self) -> tuple[str, ...]:
+        return tuple(o.plant_id for o in self.offers)
+
+    @property
+    def total_capacity(self) -> Fraction:
+        return sum((o.capacity for o in self.offers), Fraction(0))
 
 
 def make_offers(
     plants: Sequence[PowerPlant],
-    flexibilities: Mapping[str, Fraction] | Iterable[PlantFlexibility],
+    phi: Mapping[str, Fraction],
     config: MarketConfig,
 ) -> list[Offer]:
     """One offer per plant at full precision."""
-    phi = as_phi_map(flexibilities)
     offers = []
     for plant in plants:
         if plant.id not in phi:
             raise ValueError(f"no flexibility score for plant {plant.id!r}")
         fee_rate = (1 - phi[plant.id]) * config.reference_price_p0
-        offers.append(
-            Offer(plant.id, plant.marginal_cost + fee_rate, fee_rate, phi[plant.id])
-        )
+        offers.append(Offer(plant.id, plant.marginal_cost + fee_rate, fee_rate,
+                            phi[plant.id], plant.capacity))
     return offers
 
 
@@ -123,50 +128,29 @@ def clear(
     total capacity is a blackout outcome (flag set, full dispatch at the
     highest offer), not an error, so reference-price sweeps can continue.
     """
-    capacity = {p.id: p.capacity for p in plants}
+    known = {p.id for p in plants}
     offered: set[str] = set()
     for offer in offers:
-        if offer.plant_id not in capacity:
+        if offer.plant_id not in known:
             raise ValueError(f"offer references unknown plant {offer.plant_id!r}")
         if offer.plant_id in offered:
             raise ValueError(f"two offers for plant {offer.plant_id!r}")
         offered.add(offer.plant_id)
-    total_capacity = sum((capacity[o.plant_id] for o in offers), Fraction(0))
     demand = config.demand
 
-    if not offers:
-        return ClearingResult(
-            merit_order=(),
-            clearing_price=Fraction(0),
-            dispatch={},
-            profits={},
-            fee_ledger={},
-            total_fee_cf=Fraction(0),
-            consumed_energy=demand * config.period,
-            blackout=demand > 0,
-            total_capacity=Fraction(0),
-        )
-
-    stack = merit_order(offers)
-    order = tuple(o.plant_id for o in stack)
-    blackout = demand > total_capacity
-
+    # fill the merit order; demand beyond every plant's capacity leaves a
+    # remainder, a blackout with everyone dispatched at the highest offer
+    stack = merit_order(offers) if offers else []
     dispatch: dict[str, Fraction] = {}
-    if blackout:
-        dispatch = {o.plant_id: capacity[o.plant_id] for o in stack}
-        clearing_price = stack[-1].offer_price
-    elif demand == 0:
-        clearing_price = Fraction(0)
-    else:
-        remaining = demand
-        clearing_price = Fraction(0)
-        for offer in stack:
-            if remaining == 0:
-                break
-            mw = min(capacity[offer.plant_id], remaining)
-            dispatch[offer.plant_id] = mw
-            remaining -= mw
-            clearing_price = offer.offer_price
+    remaining = demand
+    clearing_price = Fraction(0)
+    for offer in stack:
+        if remaining == 0:
+            break
+        mw = min(offer.capacity, remaining)
+        dispatch[offer.plant_id] = mw
+        remaining -= mw
+        clearing_price = offer.offer_price
 
     price_of = {o.plant_id: o for o in stack}
     fee_ledger = {pid: price_of[pid].fee_rate * mw for pid, mw in dispatch.items()}
@@ -178,17 +162,14 @@ def clear(
         for pid, mw in dispatch.items()
     }
     return ClearingResult(
-        merit_order=order,
         clearing_price=clearing_price,
         dispatch=dispatch,
         profits=profits,
         fee_ledger=fee_ledger,
         total_fee_cf=sum(fee_ledger.values(), Fraction(0)),
         consumed_energy=demand * config.period,
-        blackout=blackout,
-        total_capacity=total_capacity,
+        blackout=remaining > 0,
         offers=tuple(stack),
-        capacities={o.plant_id: capacity[o.plant_id] for o in stack},
     )
 
 

@@ -70,6 +70,19 @@ class TestClear:
         assert code == 0
         assert json.loads(out)["summary"]["total_fee_cf_eur_per_h"] == 790
 
+    @pytest.mark.parametrize("fmt", ["json", "svg-stack"])
+    def test_value_beyond_float_range_exit_1(self, capsys, tmp_path, toy_grid_path, fmt):
+        # 1e350 is within the parser's bounds, but hydro's offer 1e350 + a
+        # non-integral fee has no float to report it as
+        doc = json.loads(toy_grid_path.read_text())
+        doc["plants"][1]["marginal_cost_eur_per_mwh"] = "HUGE"
+        path = tmp_path / "huge-cost.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1e350"))
+        code, out, err = run(capsys, "clear", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error:")
+        assert "too large to report" in err
+
     def test_output_file(self, capsys, toy_grid_path, tmp_path):
         target = tmp_path / "report.svg"
         code, _, _ = run(
@@ -141,10 +154,8 @@ class TestCapacity:
         assert payments == {"hydro": 74, "gas": 67, "chp": 64}
 
     def test_from_clearing(self, capsys, toy_grid_path):
-        code, out, _ = run(
-            capsys, "capacity", str(toy_grid_path), "--from-clearing",
-            "--format", "json",
-        )
+        # without --cf, C_f comes from a spot clearing of the scenario
+        code, out, _ = run(capsys, "capacity", str(toy_grid_path), "--format", "json")
         assert code == 0
         doc = json.loads(out)
         # at p0=10 only the gas turbine is eligible and undispatched
@@ -156,7 +167,7 @@ class TestCapacity:
         doc["market"]["p0_eur_per_mwh"] = 70
         depleted = tmp_path / "depleted.json"
         depleted.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "capacity", str(depleted), "--from-clearing")
+        code, _, err = run(capsys, "capacity", str(depleted))
         assert code == 3
         assert "paradox" in err
 

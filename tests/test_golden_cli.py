@@ -1,0 +1,71 @@
+"""CLI stdout bytes and exit codes on the toy grid, against stored outputs.
+
+Each case runs `flexmarket.cli.main` in process and compares its exit code
+and stdout byte for byte with `tests/golden/<case>.out`. To rewrite the
+stored outputs after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from flexmarket.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TOY_GRID = str(Path(__file__).resolve().parent.parent / "scenarios" / "toy-grid.json")
+
+
+def _cases() -> dict[str, tuple[list[str], int]]:
+    commands = {
+        "clear-p0-10": ["clear", TOY_GRID, "--p0", "10"],
+        "clear-p0-70": ["clear", TOY_GRID, "--p0", "70"],
+        "capacity-from-clearing": ["capacity", TOY_GRID],
+        "capacity-cf-790-overlap": ["capacity", TOY_GRID, "--cf", "790", "--allow-overlap"],
+        "sweep-0-80-1": ["sweep", TOY_GRID, "--p0-grid", "0:80:1"],
+    }
+    cases = {}
+    for name, argv in commands.items():
+        for fmt in ("plain-table", "csv", "json"):
+            for rounding in ("exact", "paper-rounded"):
+                cases[f"{name}.{fmt}.{rounding}"] = (
+                    argv + ["--format", fmt, "--rounding", rounding], 0
+                )
+    cases["clear-p0-10.svg-stack"] = (["clear", TOY_GRID, "--format", "svg-stack"], 0)
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, bytes]:
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+        stdout.flush()
+    return code, buffer.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes_match_golden(name):
+    argv, expected_code = CASES[name]
+    code, out = _run(argv)
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, out = _run(argv)
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{name}.out").write_bytes(out)
+    print(f"wrote {len(CASES)} outputs to {GOLDEN}")

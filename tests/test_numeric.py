@@ -1,4 +1,5 @@
-"""The exact two-stage sort and the bounded numeric-literal parser."""
+"""The exact two-stage sort, the bounded numeric-literal parser and the
+reporting conversion."""
 
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from flexmarket._numeric import (
     MAX_SIGNIFICANT_DIGITS,
     parse_number,
     sorted_exact,
+    to_number,
 )
 
 # Values that stress the integer floor key floor(v·2**64): equal values,
@@ -119,3 +121,13 @@ def test_literals_at_the_bounds_accepted(text):
 def test_malformed_literals_rejected(text):
     with pytest.raises(ValueError):
         parse_number(text)
+
+
+@pytest.mark.parametrize("value", [Fraction(10**350, 3), -Fraction(10**400 + 1, 7)])
+def test_values_beyond_the_float_range_raise_value_error(value):
+    with pytest.raises(ValueError, match="too large to report"):
+        to_number(value)
+
+
+def test_integral_values_report_as_ints_at_any_size():
+    assert to_number(Fraction(10**400)) == 10**400

@@ -3,13 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from flexmarket.flexibility import StartUpTime, hyperbolic_measure
-from flexmarket.plants import PlantFlexibility, PowerPlant, flexibilities_for, flexibility_of
+from flexmarket.flexibility import (
+    BUILTIN_MEASURES,
+    StartUpTime,
+    hyperbolic_measure,
+    validate_measure,
+)
+from flexmarket.plants import PowerPlant, flexibilities_for
 
 
 def plant(pid="p", hours="1", mc=10, cap=5):
     sut = StartUpTime.unbounded() if hours is None else StartUpTime.of(hours)
     return PowerPlant(pid, sut, Fraction(mc), Fraction(cap))
+
+
+def phi_of(p):
+    return flexibilities_for([p], hyperbolic_measure())[p.id]
 
 
 class TestPowerPlant:
@@ -24,19 +33,24 @@ class TestPowerPlant:
 
 class TestFlexibilityOf:
     def test_ccgt(self):
-        f = flexibility_of(plant("ccgt", 5), hyperbolic_measure())
-        assert f.phi == Fraction(1, 6)
-        assert abs(f.phi - Fraction("0.1667")) < Fraction("0.0001")
+        phi = phi_of(plant("ccgt", 5))
+        assert phi == Fraction(1, 6)
+        assert abs(phi - Fraction("0.1667")) < Fraction("0.0001")
 
     def test_lignite(self):
-        assert flexibility_of(plant("lignite", 9), hyperbolic_measure()).phi == Fraction(1, 10)
+        assert phi_of(plant("lignite", 9)) == Fraction(1, 10)
 
     def test_wind_unbounded(self):
-        assert flexibility_of(plant("wind", None), hyperbolic_measure()).phi == 0
+        assert phi_of(plant("wind", None)) == 0
 
     def test_phi_range_enforced(self):
-        with pytest.raises(ValueError):
-            PlantFlexibility("p", Fraction(3, 2))
+        # scores carry no range check of their own: every built-in measure
+        # passes validate_measure, whose range rule keeps them in [0, 1]
+        hours = ("0", "0.01", "1", "50", "1000")
+        plants = [plant(f"p{i}", h) for i, h in enumerate(hours)] + [plant("w", None)]
+        for make in BUILTIN_MEASURES.values():
+            assert validate_measure(make(), [p.start_up_time for p in plants[:-1]]).is_valid
+            assert all(0 <= phi <= 1 for phi in flexibilities_for(plants, make()).values())
 
     def test_order_independent(self):
         plants = [plant(f"p{i}", i) for i in range(8)]

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from flexmarket.scenario import (
     DuplicatePlantIdError,
     InvalidNumberError,
+    Scenario,
+    ScenarioError,
     ScenarioParseError,
     UnknownMeasureError,
     load_scenario,
@@ -19,6 +21,10 @@ from flexmarket.scenario import (
     toy_grid,
 )
 from flexmarket.spotmarket import MarketConfig
+
+TOY_GRID_DOC = json.loads(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "toy-grid.json").read_text()
+)
 
 
 def write(tmp_path, name, doc):
@@ -79,6 +85,20 @@ class TestLoadScenario:
         doc = minimal_doc(capacity={"participants": ["ghost"]})
         with pytest.raises(ScenarioParseError, match="ghost"):
             load_scenario(write(tmp_path, "p.json", doc))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"measure": []}, "measure"),
+            ({"measure": {"name": "hyperbolic"}}, "measure"),
+            ({"capacity": {"participants": [["a"]]}}, r"capacity\.participants\[0\]"),
+            ({"capacity": {"participants": ["a", {"id": "b"}]}},
+             r"capacity\.participants\[1\]"),
+        ],
+    )
+    def test_names_of_the_wrong_type_rejected(self, tmp_path, overrides, path):
+        with pytest.raises(ScenarioParseError, match=path):
+            load_scenario(write(tmp_path, "t.json", minimal_doc(**overrides)))
 
     def test_decimal_fields_parse_exactly(self, tmp_path):
         doc = minimal_doc()
@@ -141,10 +161,10 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, "long.json", text))
 
     def test_p0_grid(self, tmp_path):
+        # a sweep's grid comes from `sweep --p0-grid`; the scenario has none
         doc = minimal_doc(market={"p0_grid": [0, 10, 20], "demand_mw": 7})
-        scenario = load_scenario(write(tmp_path, "g.json", doc))
-        assert scenario.p0_grid == (0, 10, 20)
-        assert scenario.market.reference_price_p0 == 0
+        with pytest.raises(ScenarioParseError, match="market.p0_grid: unknown key"):
+            load_scenario(write(tmp_path, "g.json", doc))
 
     def test_csv_plant_table(self, tmp_path):
         csv_text = (
@@ -197,3 +217,62 @@ class TestRoundTrip:
     def test_round_trip_is_stable(self, tmp_path):
         scenario = toy_grid(10, 25)
         assert scenario_to_json(scenario) == scenario_to_json(scenario)
+
+
+# Every place a mutation may write to.
+_FUZZ_PATHS = [
+    ("plants",), ("market",), ("capacity",), ("measure",), ("plants", 0),
+    *(("plants", 1, key) for key in
+      ("id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw")),
+    *(("market", key) for key in ("p0_eur_per_mwh", "demand_mw", "period_h")),
+    *(("capacity", key) for key in ("threshold", "participants", "allow_overlap")),
+    ("capacity", "participants", 0),
+]
+# Numeric literals beyond the parser's bounds, or beyond the float range; they
+# are written into the JSON text bare, in place of their quoted marker.
+_RAW = ["1e350", "-1e350", "1e3000000", "1e-401", "9" * 200, "0." + "7" * 150]
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="abcinfhydro01.e-/", max_size=8),
+    st.sampled_from(["inf", "auto", "hyperbolic", "hydro", "1e3000000"]),
+    st.sampled_from(_RAW).map(lambda raw: f"<<{raw}>>"),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "x", "demand_mw"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _mutate(doc, path, value):
+    *parents, last = path
+    try:
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # the path is missing or runs through a value of another type
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _values),
+                    min_size=1, max_size=3))
+    def test_mutated_toy_grid_loads_or_fails_as_a_scenario_error(self, mutations):
+        doc = json.loads(json.dumps(TOY_GRID_DOC))
+        doc["capacity"]["participants"] = ["hydro", "gas"]
+        for path, value in mutations:
+            _mutate(doc, path, value)
+        text = re.sub(r'"<<([^"<>]*)>>"', r"\1", json.dumps(doc))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(text)
+            try:
+                scenario = load_scenario(path)
+            except ScenarioError:
+                return
+        assert isinstance(scenario, Scenario)

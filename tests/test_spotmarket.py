@@ -70,13 +70,13 @@ class TestMeritOrder:
         assert clear_scenario(toy_grid(70, 25)).merit_order == ORDER_P0_70
 
     def test_tie_broken_by_higher_phi(self):
-        a = Offer("a", Fraction(10), Fraction(0), Fraction(1, 4))
-        b = Offer("b", Fraction(10), Fraction(0), Fraction(3, 4))
+        a = Offer("a", Fraction(10), Fraction(0), Fraction(1, 4), Fraction(5))
+        b = Offer("b", Fraction(10), Fraction(0), Fraction(3, 4), Fraction(5))
         assert [o.plant_id for o in merit_order([a, b])] == ["b", "a"]
 
     def test_tie_broken_by_id_when_phi_equal(self):
-        a = Offer("zeta", Fraction(10), Fraction(0), Fraction(1, 2))
-        b = Offer("alpha", Fraction(10), Fraction(0), Fraction(1, 2))
+        a = Offer("zeta", Fraction(10), Fraction(0), Fraction(1, 2), Fraction(5))
+        b = Offer("alpha", Fraction(10), Fraction(0), Fraction(1, 2), Fraction(5))
         assert [o.plant_id for o in merit_order([a, b])] == ["alpha", "zeta"]
 
     def test_empty_offers_rejected(self):
@@ -109,7 +109,7 @@ class TestClear:
         plants = [simple_plant("a", mc=10), simple_plant("b", mc=20)]
         config = MarketConfig(10, 7)
         offers = make_offers(plants, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, config)
-        cheaper = Offer("a", Fraction(1), Fraction(0), Fraction(1, 2))
+        cheaper = Offer("a", Fraction(1), Fraction(0), Fraction(1, 2), Fraction(5))
         with pytest.raises(ValueError, match="'a'"):
             clear(offers + [cheaper], plants, config)
 
