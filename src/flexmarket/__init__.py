@@ -23,7 +23,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     load_scenario,
-    scenario_to_json,
     toy_grid,
 )
 from .spotmarket import (

@@ -23,6 +23,10 @@ MAX_DECIMAL_EXPONENT = 400
 
 _DECIMAL = re.compile(r"\s*([-+]?)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
 _RATIONAL = re.compile(r"\s*([-+]?)0*(\d+)/0*(\d+)\s*")
+# A plain decimal ("-12.50", ".5", "7") of at most _PLAIN_MAX characters has
+# at most 17 digits and its leading digit within 10**+/-17, inside both bounds.
+_PLAIN_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
+_PLAIN_MAX = 17
 
 # sorted_exact orders items first on floor(value * 2**_COARSE_BITS).
 _COARSE_BITS = 64
@@ -56,6 +60,14 @@ def parse_number(text: str) -> Fraction:
     either part of a rational), or whose written exponent or leading digit's
     decimal exponent lies beyond +/-MAX_DECIMAL_EXPONENT.
     """
+    if len(text) <= _PLAIN_MAX and _PLAIN_DECIMAL.fullmatch(text):
+        whole, _, part = text.partition(".")
+        return Fraction(int(whole + part), 10 ** len(part))
+    return _parse_literal(text)
+
+
+def _parse_literal(text: str) -> Fraction:
+    """parse_number without its plain-decimal fast path."""
     shown = repr(text if len(text) <= 40 else text[:37] + "...")
     match = _DECIMAL.fullmatch(text)
     if match is None or not (match[2] or match[3]):
@@ -112,7 +124,9 @@ def sorted_exact(
     Equal to `sorted(items, key=lambda x: (value(x), tiebreak(x)))`, but most
     comparisons are between ints: the items are first sorted on the floor of
     value·2**64, which never decreases as the value grows, and only runs of
-    items with equal floors are then sorted on the full exact key.
+    items with equal floors are then sorted on the full exact key. Where a
+    run's values share one denominator, as equal values do, the numerators
+    stand in for them as ints.
     """
     items = list(items)
     values = [value(item) for item in items]
@@ -122,9 +136,36 @@ def sorted_exact(
                           key=coarse.__getitem__):
         run = list(run)
         if len(run) > 1:
-            run.sort(key=lambda i: (values[i], tiebreak(items[i])))
+            # no common denominator over distinct ones: their lcm can grow
+            # with the run, and comparing Fractions pairwise stays cheap
+            if len({values[i].denominator for i in run}) == 1:
+                run.sort(key=lambda i: (values[i].numerator, tiebreak(items[i])))
+            else:
+                run.sort(key=lambda i: (values[i], tiebreak(items[i])))
         ordered.extend(items[i] for i in run)
     return ordered
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of Fractions.
+
+    Values that share a denominator are added as ints, and the sums per
+    denominator are then added pairwise, so that distinct large denominators
+    multiply up evenly instead of one growing product at a time.
+    """
+    groups: dict[int, list[Fraction]] = {}
+    for v in values:
+        groups.setdefault(v.denominator, []).append(v)
+    terms = [
+        group[0] if len(group) == 1 else Fraction(sum(v.numerator for v in group), d)
+        for d, group in groups.items()
+    ]
+    while len(terms) > 1:
+        paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0] if terms else Fraction(0)
 
 
 def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:
@@ -139,7 +180,7 @@ def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:
 def to_float(x: Fraction) -> float:
     """The nearest float to x; ValueError if x is beyond the float range."""
     try:
-        return float(x)
+        return x.numerator / x.denominator  # what float(x) computes
     except OverflowError:
         raise ValueError(
             f"a value of about 2**{x.numerator.bit_length() - x.denominator.bit_length()}"
@@ -150,5 +191,5 @@ def to_float(x: Fraction) -> float:
 def to_number(x: Fraction) -> int | float:
     """Render a Fraction as an int when integral, else a float."""
     if x.denominator == 1:
-        return int(x)
+        return x.numerator
     return to_float(x)

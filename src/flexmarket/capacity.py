@@ -41,7 +41,11 @@ class CapacityPool:
     eligibility_threshold: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
+        seen: set[str] = set()
         for pid, phi, cap in self.participants:
+            if pid in seen:
+                raise ValueError(f"{pid}: listed twice in the reserve pool")
+            seen.add(pid)
             if not phi > self.eligibility_threshold:
                 raise ValueError(
                     f"{pid}: phi = {phi} does not exceed threshold "

@@ -36,7 +36,7 @@ class StartUpTime:
     def __post_init__(self) -> None:
         if self.hours is not None:
             h = frac(self.hours)
-            if h < 0:
+            if h.numerator < 0:
                 raise ValueError(f"start-up time must be >= 0, got {h}")
             object.__setattr__(self, "hours", h)
 
@@ -67,12 +67,18 @@ class FlexibilityMeasure:
     def __call__(self, t: StartUpTime) -> Fraction:
         if t.is_unbounded:
             return Fraction(0)
-        return Fraction(self.fn(t.hours))
+        score = self.fn(t.hours)
+        return score if type(score) is Fraction else Fraction(score)
+
+
+def _hyperbolic(x: Fraction) -> Fraction:
+    # 1 / (n/d + 1) = d / (n + d)
+    return Fraction(x.denominator, x.numerator + x.denominator)
 
 
 def hyperbolic_measure() -> FlexibilityMeasure:
     """The default measure: score(x) = 1 / (x + 1)."""
-    return FlexibilityMeasure("hyperbolic", lambda x: Fraction(1, 1) / (x + 1))
+    return FlexibilityMeasure("hyperbolic", _hyperbolic)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ class PowerPlant:
         object.__setattr__(self, "capacity", frac(self.capacity))
         if not self.id:
             raise ValueError("plant id must be non-empty")
-        if self.marginal_cost < 0:
+        if self.marginal_cost.numerator < 0:
             raise ValueError(f"{self.id}: marginal_cost must be >= 0")
-        if self.capacity <= 0:
+        if self.capacity.numerator <= 0:
             raise ValueError(f"{self.id}: capacity must be > 0")
 
 

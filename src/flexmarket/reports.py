@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable
 
 from ._numeric import round_half_away, sorted_exact, to_float, to_number
@@ -22,6 +23,9 @@ __all__ = ["emit_report", "emit_sweep", "emit_settlement"]
 
 FORMATS = ("plain-table", "csv", "json", "svg-stack")
 ROUNDING_MODES = ("exact", "paper-rounded")
+# values that json and its C encoder both write as themselves
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NOT_SERIALIZABLE = json.JSONEncoder().default  # raises json's own TypeError
 
 
 def _check(format: str, rounding_mode: str) -> None:
@@ -97,7 +101,51 @@ def _csv(headers: list[str], rows: list[list[object]]) -> bytes:
 
 
 def _json_bytes(doc: object) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """`json.dumps(doc, indent=2, sort_keys=True)` and a newline, as bytes.
+
+    json.dumps runs the pure-Python encoder whenever `indent` is set. The same
+    bytes come from the C encoder: with item separator ",\n" plus the
+    indentation it writes an object or array of scalars exactly as the
+    indenting encoder would, apart from the line breaks after its opening
+    and before its closing bracket, which _indented adds around it.
+    """
+    if c_make_encoder is None:
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (_indented(doc, 0, {}) + "\n").encode("utf-8")
+
+
+def _indented(value: object, depth: int, encoders: dict) -> str:
+    """`value`, a document whose objects have str keys, as json.dumps(indent=2,
+    sort_keys=True) writes it at `depth` levels of nesting; `encoders` caches
+    a C encoder per depth."""
+    if isinstance(value, dict):
+        values = value.values()
+    elif isinstance(value, (list, tuple)):
+        values = value
+    else:
+        values = ()
+    encode = encoders.get(depth)
+    if encode is None:
+        encode = encoders[depth] = c_make_encoder(
+            None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
+            ",\n" + "  " * (depth + 1), True, False, True,
+        )
+    if not values or _SCALARS.issuperset(map(type, values)):
+        text = "".join(encode(value, 0))
+        if not values:  # a scalar, or an empty object or array
+            return text
+        return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+    if isinstance(value, dict):
+        parts = [
+            f"{encode_basestring_ascii(k)}: {_indented(v, depth + 1, encoders)}"
+            for k, v in sorted(value.items())
+        ]
+        brackets = "{}"
+    else:
+        parts = [_indented(v, depth + 1, encoders) for v in values]
+        brackets = "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * depth}{brackets[1]}"
 
 
 def emit_report(

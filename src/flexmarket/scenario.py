@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number, to_number
+from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
 from .flexibility import BUILTIN_MEASURES, FlexibilityMeasure, StartUpTime
 from .plants import PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
@@ -28,7 +28,6 @@ __all__ = [
     "CapacityConfig",
     "Scenario",
     "load_scenario",
-    "scenario_to_json",
     "toy_grid",
 ]
 
@@ -98,23 +97,23 @@ def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
         )
 
 
-def _number(raw: object, path: str, *, minimum: Fraction | None = None) -> Fraction:
+def _number(raw: object, path: str, *, nonnegative: bool = False) -> Fraction:
     try:
         value = frac(raw)  # type: ignore[arg-type]
     except TypeError:
         raise InvalidNumberError(f"{path}: expected a number, got {raw!r}") from None
     except ValueError as exc:
         raise InvalidNumberError(f"{path}: expected a number: {exc}") from None
-    if minimum is not None and value < minimum:
-        raise InvalidNumberError(f"{path}: {value} is below minimum {minimum}")
+    if nonnegative and value.numerator < 0:
+        raise InvalidNumberError(f"{path}: {value} is below minimum 0")
     return value
 
 
 def _start_up(raw: object, path: str) -> StartUpTime:
-    if raw == "inf":
+    if isinstance(raw, str) and raw == "inf":
         return StartUpTime.unbounded()
     value = _number(raw, path)
-    if value < 0:
+    if value.numerator < 0:
         raise InvalidNumberError(f"{path}: start-up time must be >= 0")
     return StartUpTime(value)
 
@@ -132,7 +131,7 @@ def _plant_from_record(record: dict, path: str) -> PowerPlant:
         marginal_cost=_number(
             record.get("marginal_cost_eur_per_mwh"),
             f"{path}.marginal_cost_eur_per_mwh",
-            minimum=Fraction(0),
+            nonnegative=True,
         ),
         capacity=_number(
             record.get("capacity_mw"), f"{path}.capacity_mw"
@@ -174,9 +173,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     try:
         config = MarketConfig(
             reference_price_p0=_number(market.get("p0_eur_per_mwh", 0),
-                                       "market.p0_eur_per_mwh", minimum=Fraction(0)),
+                                       "market.p0_eur_per_mwh", nonnegative=True),
             demand=_number(market.get("demand_mw", 0), "market.demand_mw",
-                           minimum=Fraction(0)),
+                           nonnegative=True),
             period=_number(market.get("period_h", 1), "market.period_h"),
         )
     except ValueError as exc:
@@ -194,6 +193,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     elif isinstance(raw_participants, list):
         participants = tuple(raw_participants)
         known = {p.id for p in plants}
+        seen: set[str] = set()
         for i, pid in enumerate(participants):
             if not isinstance(pid, str):
                 raise ScenarioParseError(
@@ -203,6 +203,11 @@ def _scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioParseError(
                     f"capacity.participants: unknown plant id {pid!r}"
                 )
+            if pid in seen:
+                raise ScenarioParseError(
+                    f"capacity.participants[{i}]: plant id {pid!r} is listed twice"
+                )
+            seen.add(pid)
     else:
         raise ScenarioParseError('capacity.participants: expected "auto" or a list')
     threshold = _number(cap.get("threshold", Fraction(1, 2)), "capacity.threshold")
@@ -273,42 +278,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:  # a number beyond parse_number's bounds
         raise InvalidNumberError(f"{path}: {exc}") from None
     return _scenario_from_dict(doc)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    plants = [
-        {
-            "id": p.id,
-            "start_up_time_h": "inf"
-            if p.start_up_time.is_unbounded
-            else to_number(p.start_up_time.hours),
-            "marginal_cost_eur_per_mwh": to_number(p.marginal_cost),
-            "capacity_mw": to_number(p.capacity),
-        }
-        for p in scenario.plants
-    ]
-    return {
-        "plants": plants,
-        "market": {
-            "p0_eur_per_mwh": to_number(scenario.market.reference_price_p0),
-            "demand_mw": to_number(scenario.market.demand),
-            "period_h": to_number(scenario.market.period),
-        },
-        "capacity": {
-            "threshold": to_number(scenario.capacity.threshold),
-            "participants": "auto"
-            if scenario.capacity.participants is None
-            else list(scenario.capacity.participants),
-            "allow_overlap": scenario.capacity.allow_overlap,
-        },
-        "measure": scenario.measure_name,
-    }
-
-
-def scenario_to_json(scenario: Scenario) -> bytes:
-    return (
-        json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
 
 
 def toy_grid(

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
-from ._numeric import frac, round_half_away, sorted_exact
+from ._numeric import exact_sum, frac, round_half_away, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
@@ -43,11 +44,11 @@ class MarketConfig:
         object.__setattr__(self, "reference_price_p0", frac(self.reference_price_p0))
         object.__setattr__(self, "demand", frac(self.demand))
         object.__setattr__(self, "period", frac(self.period))
-        if self.reference_price_p0 < 0:
+        if self.reference_price_p0.numerator < 0:
             raise ValueError("reference price p0 must be >= 0")
-        if self.demand < 0:
+        if self.demand.numerator < 0:
             raise ValueError("demand must be >= 0")
-        if self.period <= 0:
+        if self.period.numerator <= 0:
             raise ValueError("period must be > 0")
 
 
@@ -88,7 +89,7 @@ class ClearingResult:
 
     @property
     def total_capacity(self) -> Fraction:
-        return sum((o.capacity for o in self.offers), Fraction(0))
+        return exact_sum(o.capacity for o in self.offers)
 
 
 def make_offers(
@@ -97,13 +98,21 @@ def make_offers(
     config: MarketConfig,
 ) -> list[Offer]:
     """One offer per plant at full precision."""
+    # (1 - n/d)·(a/b) and mc + that are each built from ints as one Fraction
+    a, b = config.reference_price_p0.numerator, config.reference_price_p0.denominator
     offers = []
     for plant in plants:
         if plant.id not in phi:
             raise ValueError(f"no flexibility score for plant {plant.id!r}")
-        fee_rate = (1 - phi[plant.id]) * config.reference_price_p0
-        offers.append(Offer(plant.id, plant.marginal_cost + fee_rate, fee_rate,
-                            phi[plant.id], plant.capacity))
+        score = phi[plant.id]
+        fee_rate = Fraction((score.denominator - score.numerator) * a,
+                            score.denominator * b)
+        mc = plant.marginal_cost
+        offer_price = Fraction(
+            mc.numerator * fee_rate.denominator + fee_rate.numerator * mc.denominator,
+            mc.denominator * fee_rate.denominator,
+        )
+        offers.append(Offer(plant.id, offer_price, fee_rate, score, plant.capacity))
     return offers
 
 
@@ -111,9 +120,17 @@ def merit_order(offers: Sequence[Offer]) -> list[Offer]:
     """Ascending by offer price; ties broken by higher phi, then plant id."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    return sorted_exact(
-        offers, lambda o: o.offer_price, lambda o: (-o.phi, o.plant_id)
-    )
+    # equal scores share one -phi object: tuples compare identical items as
+    # equal without calling Fraction.__eq__, which equal offers would do often
+    neg_phi: dict[tuple[int, int], Fraction] = {}
+
+    def tiebreak(offer: Offer) -> tuple[Fraction, str]:
+        key = (offer.phi.numerator, offer.phi.denominator)
+        if key not in neg_phi:
+            neg_phi[key] = -offer.phi
+        return neg_phi[key], offer.plant_id
+
+    return sorted_exact(offers, lambda o: o.offer_price, tiebreak)
 
 
 def clear(
@@ -138,37 +155,47 @@ def clear(
         offered.add(offer.plant_id)
     demand = config.demand
 
-    # fill the merit order; demand beyond every plant's capacity leaves a
-    # remainder, a blackout with everyone dispatched at the highest offer
+    # fill the merit order on ints: the demand still unserved is rest / den
+    # MW, den growing only to cover the capacities visited. Demand beyond
+    # every plant's capacity leaves a remainder, a blackout with everyone
+    # dispatched at the highest offer.
     stack = merit_order(offers) if offers else []
     dispatch: dict[str, Fraction] = {}
-    remaining = demand
+    rest, den = demand.numerator, demand.denominator
     clearing_price = Fraction(0)
     for offer in stack:
-        if remaining == 0:
+        if rest == 0:
             break
-        mw = min(offer.capacity, remaining)
-        dispatch[offer.plant_id] = mw
-        remaining -= mw
+        capacity = offer.capacity
+        common = gcd(den, capacity.denominator)
+        scaled = capacity.numerator * (den // common)  # over lcm(den, its den)
+        if common != capacity.denominator:
+            grow = capacity.denominator // common
+            rest *= grow
+            den *= grow
+        if scaled <= rest:
+            dispatch[offer.plant_id] = capacity
+            rest -= scaled
+        else:  # the marginal plant, partly dispatched
+            dispatch[offer.plant_id] = Fraction(rest, den)
+            rest = 0
         clearing_price = offer.offer_price
 
-    price_of = {o.plant_id: o for o in stack}
-    fee_ledger = {pid: price_of[pid].fee_rate * mw for pid, mw in dispatch.items()}
-    profits = {
-        pid: Profit(
-            margin=clearing_price - price_of[pid].offer_price,
-            per_hour=(clearing_price - price_of[pid].offer_price) * mw,
-        )
-        for pid, mw in dispatch.items()
-    }
+    fee_ledger = {}
+    profits = {}
+    for offer in stack[: len(dispatch)]:
+        mw = dispatch[offer.plant_id]
+        margin = clearing_price - offer.offer_price
+        fee_ledger[offer.plant_id] = offer.fee_rate * mw
+        profits[offer.plant_id] = Profit(margin=margin, per_hour=margin * mw)
     return ClearingResult(
         clearing_price=clearing_price,
         dispatch=dispatch,
         profits=profits,
         fee_ledger=fee_ledger,
-        total_fee_cf=sum(fee_ledger.values(), Fraction(0)),
+        total_fee_cf=exact_sum(fee_ledger.values()),
         consumed_energy=demand * config.period,
-        blackout=remaining > 0,
+        blackout=rest > 0,
         offers=tuple(stack),
     )
 
@@ -184,9 +211,8 @@ def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
         return result.total_fee_cf
     if mode == "paper-rounded":
         rate = {o.plant_id: o.fee_rate for o in result.offers}
-        return sum(
-            (round_half_away(rate[pid]) * mw for pid, mw in result.dispatch.items()),
-            Fraction(0),
+        return exact_sum(
+            round_half_away(rate[pid]) * mw for pid, mw in result.dispatch.items()
         )
     raise ValueError(f"unknown fee mode {mode!r}")
 

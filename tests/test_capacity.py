@@ -69,6 +69,10 @@ class TestBuildPool:
         with pytest.raises(ValueError):
             pool_of(toy, phis, ["nuclear"])
 
+    def test_repeated_participant_rejected(self, toy, phis):
+        with pytest.raises(ValueError, match="hydro: listed twice"):
+            pool_of(toy, phis, ["hydro", "hydro", "gas"])
+
     def test_p_flex(self, toy, phis):
         pool = pool_of(toy, phis, ["hydro", "gas", "chp"])
         assert pool.p_flex == 5 * (phis["hydro"] + phis["gas"] + phis["chp"])

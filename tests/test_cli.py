@@ -183,3 +183,15 @@ class TestCapacity:
             capsys, "capacity", str(pinned), "--cf", "205", "--allow-overlap"
         )
         assert code == 0
+
+    def test_repeated_participant_exit_1(self, capsys, tmp_path, toy_grid_path):
+        # hydro listed twice once paid 34.36 + 31.29 of a 100 EUR/h pool
+        doc = json.loads(toy_grid_path.read_text())
+        doc["capacity"]["participants"] = ["hydro", "hydro", "gas"]
+        repeated = tmp_path / "repeated.json"
+        repeated.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "capacity", str(repeated), "--cf", "100", "--allow-overlap"
+        )
+        assert (code, out) == (1, "")
+        assert "capacity.participants[1]" in err

@@ -1,4 +1,7 @@
-"""CLI stdout bytes and exit codes on the toy grid, against stored outputs.
+"""CLI stdout bytes and exit codes against stored outputs: every command on
+the toy grid, and JSON clearing and capacity reports on a 100-plant scenario
+with decimal inputs (fractional capacities and demand, a partly dispatched
+marginal plant).
 
 Each case runs `flexmarket.cli.main` in process and compares its exit code
 and stdout byte for byte with `tests/golden/<case>.out`. To rewrite the
@@ -19,7 +22,9 @@ import pytest
 from flexmarket.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-TOY_GRID = str(Path(__file__).resolve().parent.parent / "scenarios" / "toy-grid.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+TOY_GRID = str(SCENARIOS / "toy-grid.json")
+DECIMAL_100 = str(SCENARIOS / "decimal-100.json")
 
 
 def _cases() -> dict[str, tuple[list[str], int]]:
@@ -38,6 +43,11 @@ def _cases() -> dict[str, tuple[list[str], int]]:
                     argv + ["--format", fmt, "--rounding", rounding], 0
                 )
     cases["clear-p0-10.svg-stack"] = (["clear", TOY_GRID, "--format", "svg-stack"], 0)
+    for command in ("clear", "capacity"):
+        for rounding in ("exact", "paper-rounded"):
+            cases[f"decimal-100-{command}.json.{rounding}"] = (
+                [command, DECIMAL_100, "--format", "json", "--rounding", rounding], 0
+            )
     return cases
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from flexmarket._numeric import (
     MAX_DECIMAL_EXPONENT,
     MAX_SIGNIFICANT_DIGITS,
+    _parse_literal,
+    exact_sum,
     parse_number,
     sorted_exact,
     to_number,
@@ -59,6 +61,15 @@ def test_sorted_exact_orders_values_closer_than_the_floor_key():
     assert sorted_exact(items, value.__getitem__, str) == ["z", "y", "x"]
 
 
+def test_sorted_exact_run_of_distinct_denominators_stays_cheap():
+    # 4,000 values within 2**-64 of each other form one run of equal floors;
+    # a common denominator of their 100-bit denominators would grow with it
+    values = [Fraction(10**30 + i + 1, 10**30 + i) for i in range(4000)]
+    start = time.perf_counter()
+    assert sorted_exact(values, lambda v: v, lambda v: 0) == sorted(values)
+    assert time.perf_counter() - start < 1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
@@ -79,6 +90,59 @@ def test_parse_number_matches_fraction_within_the_bounds(text):
     except ValueError:  # a Decimal such as "sNaN" or a form Fraction lacks
         return
     assert parse_number(text) == exact
+
+
+# Short plain decimals, the literals parse_number reads on its fast path:
+# signs, leading and trailing zeros, a bare point at either end, and lengths
+# around the 17-character limit.
+short_decimals = st.builds(
+    lambda sign, whole, point, part: sign + whole + point + part,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=10),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=10),
+).filter(lambda t: any(c.isdigit() for c in t) and len(t) <= 19)
+
+
+@settings(max_examples=500, deadline=None)
+@given(short_decimals)
+def test_parse_number_fast_path_matches_the_general_parser(text):
+    try:
+        expected = _parse_literal(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_number(text)
+        return
+    assert parse_number(text) == expected
+    assert type(parse_number(text)) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-0", "+0", "0", "-0.0", "00012.50", "-.5", "+7.", "1.", ".0",
+     "1234567890123456", "12345678901234567", "123456789012345678",
+     "-1234567890123456", "-12345678901234567", "0.00000000000001",
+     "0.000000000000001", "0.0000000000000001", "99999999999999999"],
+)
+def test_parse_number_fast_path_at_its_edges(text):
+    assert parse_number(text) == _parse_literal(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [".", "-", "+", "-.", "1.2.3", "1e5", " 1", "1 "])
+def test_parse_number_fast_path_leaves_other_text_to_the_general_parser(text):
+    try:
+        expected = _parse_literal(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_number(text)
+        return
+    assert parse_number(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(values, max_size=30))
+def test_exact_sum_matches_sum(terms):
+    assert exact_sum(terms) == sum(terms, Fraction(0))
 
 
 @settings(max_examples=300, deadline=None)

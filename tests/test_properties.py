@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.capacity import CapacityPool, settle
+from flexmarket.capacity import CapacityPool, build_pool, settle
 from flexmarket.flexibility import StartUpTime, hyperbolic_measure
 from flexmarket.plants import PowerPlant, flexibilities_for
 from flexmarket.spotmarket import MarketConfig, clear, make_offers
@@ -73,6 +73,29 @@ class TestSettlementProperties:
         payments = settle(pool, cf).payments
         assert sum(payments.values(), Fraction(0)) == cf  # exact, beats 1e-9
         assert all(v >= 0 for v in payments.values())
+
+    @RUNS
+    @given(plant_lists(max_size=8), money, st.data())
+    def test_payments_sum_to_cf_whenever_settle_returns(self, plants, cf, data):
+        # any pool build_pool accepts, from the auto rule or an explicit list
+        # that may repeat ids or name dispatched plants, with or without overlap
+        phis = flexibilities_for(plants, hyperbolic_measure())
+        ids = [p.id for p in plants]
+        eligible = [pid for pid in ids if phis[pid] > Fraction(1, 2)]
+        dispatched = data.draw(st.sets(st.sampled_from(ids)))
+        participants = data.draw(
+            st.none() | st.lists(st.sampled_from(eligible or ids), max_size=2 * len(ids))
+        )
+        try:
+            pool = build_pool(
+                plants, phis, participants=participants, dispatched=dispatched,
+                allow_overlap=data.draw(st.booleans()),
+            )
+            payments = settle(pool, cf).payments
+        except ValueError:  # ineligible, overlapping, repeated, or no one to pay
+            return
+        assert sum(payments.values(), Fraction(0)) == cf
+        assert len(payments) == len(pool.participants)
 
     @RUNS
     @given(pools(), money, st.fractions(min_value=0, max_value=10, max_denominator=12))

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexmarket.analysis import clear_scenario, sweep_p0
 from flexmarket.capacity import build_pool, settle
-from flexmarket.reports import emit_report, emit_settlement, emit_sweep
+from flexmarket import reports
+from flexmarket.reports import _json_bytes, emit_report, emit_settlement, emit_sweep
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import MarketConfig, clear
 
@@ -114,3 +116,56 @@ class TestEmitSettlement:
                                "paper-rounded").decode()
         assert "hydro" in text and "284" in text
         assert "source_fee_cf_eur_per_h: 790" in text
+
+
+# JSON documents of every shape: empty objects and arrays at any depth,
+# non-ASCII and control-character strings and keys, ints of over 100
+# digits, float edge cases, booleans and null.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**100, max_value=10**130).map(lambda n: n * (-1) ** (n % 2)),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u6f22\U0001f600", "\ud800", '"\\/\n\t']),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonBytes:
+    @settings(max_examples=500, deadline=None)
+    @given(json_docs)
+    def test_equals_indented_json_dumps(self, doc):
+        expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert _json_bytes(doc) == expected
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [], {"a": {}}, {"a": []}, [[], {}], {"a": [{"b": []}]},
+         {1: 2, 2.5: None, True: "t"}, ((1, 2), ("x",)), [True, 1, 1.0],
+         {"x": float("nan"), "y": [float("inf"), -float("inf")]}],
+    )
+    def test_equals_json_dumps_on_edge_shapes(self, doc):
+        expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert _json_bytes(doc) == expected
+
+    def test_falls_back_to_json_dumps_without_the_c_encoder(self, monkeypatch):
+        doc = {"plants": [{"b": 1.5, "a": "x"}], "summary": {}}
+        expected = _json_bytes(doc)
+        monkeypatch.setattr(reports, "c_make_encoder", None)
+        assert _json_bytes(doc) == expected
+
+    @pytest.mark.parametrize("doc", [{"a": [Fraction(1, 3)]}, {"a": Fraction(1, 3)},
+                                     {"a": {(1,): 2}}, {"a": {1: [2]}}])
+    def test_documents_it_cannot_write_raise_type_error(self, doc):
+        # a value json cannot write, or a non-str key in an object that
+        # holds containers (report documents have str keys only)
+        with pytest.raises(TypeError):
+            _json_bytes(doc)

@@ -2,7 +2,6 @@ import json
 import re
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +16,8 @@ from flexmarket.scenario import (
     ScenarioParseError,
     UnknownMeasureError,
     load_scenario,
-    scenario_to_json,
     toy_grid,
 )
-from flexmarket.spotmarket import MarketConfig
 
 TOY_GRID_DOC = json.loads(
     (Path(__file__).resolve().parent.parent / "scenarios" / "toy-grid.json").read_text()
@@ -84,6 +81,13 @@ class TestLoadScenario:
     def test_unknown_participant(self, tmp_path):
         doc = minimal_doc(capacity={"participants": ["ghost"]})
         with pytest.raises(ScenarioParseError, match="ghost"):
+            load_scenario(write(tmp_path, "p.json", doc))
+
+    def test_repeated_participant_rejected(self, tmp_path):
+        doc = minimal_doc(capacity={"participants": ["a", "b", "a"]})
+        with pytest.raises(
+            ScenarioParseError, match=r"capacity\.participants\[2\]: .*'a' is listed twice"
+        ):
             load_scenario(write(tmp_path, "p.json", doc))
 
     @pytest.mark.parametrize(
@@ -199,24 +203,22 @@ class TestLoadScenario:
 
 class TestRoundTrip:
     def test_json_round_trip(self, tmp_path):
-        scenario = toy_grid("12.5", 25)
-        path = tmp_path / "rt.json"
-        path.write_bytes(scenario_to_json(scenario))
-        assert load_scenario(path) == scenario
+        doc = json.loads(json.dumps(TOY_GRID_DOC))
+        doc["market"]["p0_eur_per_mwh"] = 12.5
+        assert load_scenario(write(tmp_path, "rt.json", doc)) == toy_grid("12.5", 25)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0, allow_nan=False, allow_infinity=False))
     def test_every_written_float_loads(self, x):
-        # scenario_to_json writes non-integral values as float reprs
-        scenario = replace(toy_grid(10, 25), market=MarketConfig(10, x))
+        # json.dumps writes a float as its repr
+        doc = minimal_doc(market={"demand_mw": x})
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "f.json"
-            path.write_bytes(scenario_to_json(scenario))
+            path = write(Path(tmp), "f.json", doc)
             assert load_scenario(path).market.demand == Fraction(repr(x))
 
     def test_round_trip_is_stable(self, tmp_path):
-        scenario = toy_grid(10, 25)
-        assert scenario_to_json(scenario) == scenario_to_json(scenario)
+        rewritten = write(tmp_path, "toy.json", TOY_GRID_DOC)
+        assert load_scenario(rewritten) == load_scenario(rewritten) == toy_grid(10, 25)
 
 
 # Every place a mutation may write to.
