@@ -15,7 +15,7 @@ from typing import Sequence
 from ._numeric import frac, sorted_exact
 from .capacity import eligible_plants
 from .scenario import Scenario, ScenarioError
-from .spotmarket import ClearingResult, MarketConfig, clear, make_offers
+from .spotmarket import ClearingResult, MarketConfig, _fill, clear, make_offers
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -24,7 +24,6 @@ __all__ = [
     "clear_scenario",
     "p0_range",
     "sweep_p0",
-    "find_first_change",
 ]
 
 # Upper bound on the points of one p0 grid, so an untrusted grid spec cannot
@@ -69,9 +68,11 @@ def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     """The grid lo + i·step for i = 0, 1, ... up to hi inclusive (empty if
     hi < lo).
 
-    The point count is checked before anything is allocated: a grid of more
-    than MAX_GRID_POINTS points raises ScenarioError.
+    A step <= 0 raises ScenarioError, and so does a grid of more than
+    MAX_GRID_POINTS points, counted before anything is allocated.
     """
+    if step <= 0:
+        raise ScenarioError(f"p0 grid step must be > 0, got {step}")
     count = max((hi - lo) // step + 1, 0)
     if count > MAX_GRID_POINTS:
         raise ScenarioError(
@@ -90,9 +91,11 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     the plants are done once per scenario. Every offer mc_i + (1 - phi_i)·p0
     is linear in p0: with one common denominator D over all mc_i and
     1 - phi_i, the offers at p0 = a/b are (M_i·b + F_i·a) / (D·b) for the
-    integers M_i = mc_i·D and F_i = (1 - phi_i)·D, so each point sorts,
-    dispatches and sums plain ints and builds only its price and C_f as
-    Fractions.
+    integers M_i = mc_i·D and F_i = (1 - phi_i)·D, so each point re-sorts
+    plain int keys. The dispatch depends on the merit order only, so the
+    fill (the one `clear` uses), the dispatched set, the reserve and the
+    fee sum are computed once per distinct order; each point builds only
+    its price and C_f as Fractions.
     """
     if not scenario.plants:
         raise ValueError("scenario has no plants")
@@ -119,6 +122,7 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     demand = scenario.market.demand
     e = lcm(demand.denominator, *(p.capacity.denominator for p in plants))
     cap = [_scaled(p.capacity, e) for p in plants]
+    fee_cap = [f * c for f, c in zip(fee_num, cap)]  # F_i·C_i: fee at full output
     q = _scaled(demand, e)
     # merit_order breaks equal offers by higher phi, then plant id; the rank
     # is added below the offer in the sort key, which keeps keys distinct.
@@ -131,64 +135,37 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     change_points = []
     order = list(range(n))
     previous: list[int] | None = None
-    merit: tuple[str, ...] = ()
-    dispatched: frozenset[str] = frozenset()
-    reserve = eligible
     for p0 in grid:
         a, b = p0.numerator, p0.denominator
         keys = [(m * b + f * a) * n + r for m, f, r in zip(mc_num, fee_num, rank)]
         # the previous point's order is nearly sorted, which timsort exploits
         order = sorted(order, key=keys.__getitem__)
         if order != previous:
-            merit = tuple(ids[i] for i in order)
             if previous is not None:
                 change_points.append(p0)
-        if q == 0:
-            price = cf = Fraction(0)
-            prefix = 0
-        else:
-            # fill the merit order; in a blackout the loop runs to the end,
-            # dispatching every plant in full at the highest offer
-            served = fees = 0
-            for prefix, i in enumerate(order, 1):
-                served += cap[i]
-                fees += fee_num[i] * cap[i]
-                if served >= q:
-                    fees -= fee_num[i] * (served - q)  # marginal plant's unused MW
-                    break
-            price = Fraction(mc_num[i] * b + fee_num[i] * a, d * b)
-            cf = Fraction(a * fees, b * d * e)
-        now = frozenset(ids[i] for i in order[:prefix])
-        if now != dispatched:
-            dispatched = now
+            previous = order
+            merit = tuple(ids[i] for i in order)
+            # capacities and demand are ints over e, so the fill's den is 1
+            count, rest, _ = _fill(map(cap.__getitem__, order), q)
+            dispatched = frozenset(merit[:count])
             reserve = eligible - dispatched
-        previous = order
+            paradox = bool(eligible) and not reserve
+            fees = sum(map(fee_cap.__getitem__, order[:count]))
+            mc_m = fee_m = 0  # nothing dispatched: price and C_f are 0
+            if count:
+                marginal = order[count - 1]
+                mc_m, fee_m = mc_num[marginal], fee_num[marginal]
+                fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
         points.append(
             SweepPoint(
                 p0=p0,
-                clearing_price=price,
+                clearing_price=Fraction(mc_m * b + fee_m * a, d * b),
                 merit_order=merit,
                 dispatched=dispatched,
-                total_fee_cf=cf,
+                total_fee_cf=Fraction(a * fees, b * d * e),
                 reserve=reserve,
-                paradox=bool(eligible) and not reserve,
+                paradox=paradox,
             )
         )
     return SweepResult(tuple(points), tuple(change_points))
 
-
-def find_first_change(
-    scenario: Scenario,
-    lo: Fraction,
-    hi: Fraction,
-    resolution: Fraction,
-) -> Fraction | None:
-    """Smallest grid point in [lo, hi] (step = resolution) whose merit order
-    differs from the order at lo; None if the order never changes."""
-    lo, hi, resolution = frac(lo), frac(hi), frac(resolution)
-    if not lo < hi:
-        raise ValueError("lo must be < hi")
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    changes = sweep_p0(scenario, p0_range(lo, hi, resolution)).change_points
-    return changes[0] if changes else None

@@ -75,7 +75,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
         lo, hi, step = frac(lo_s), frac(hi_s), frac(step_s)
     except (ValueError, TypeError):
         raise ScenarioError(f"bad p0 grid {spec!r}, expected LO:HI:STEP") from None
-    if step <= 0 or hi < lo:
+    if hi < lo:
         raise ScenarioError(f"bad p0 grid {spec!r}: need lo <= hi and step > 0")
     return p0_range(lo, hi, step)
 

@@ -90,21 +90,21 @@ class MeasureValidationReport:
         return not self.violations
 
 
+# the near-limit checks of validate_measure: score(0.001) >= 0.99 and
+# score(1000) <= 0.01
+NEAR_ONE_PROBE, NEAR_ONE_MIN = Fraction(1, 1000), Fraction(99, 100)
+NEAR_ZERO_PROBE, NEAR_ZERO_MAX = Fraction(1000), Fraction(1, 100)
+
+
 def validate_measure(
-    measure: FlexibilityMeasure,
-    probe_grid: Sequence[StartUpTime],
-    *,
-    near_one_probe: Fraction = Fraction(1, 1000),
-    near_zero_probe: Fraction = Fraction(1000),
-    near_one_min: Fraction = Fraction(99, 100),
-    near_zero_max: Fraction = Fraction(1, 100),
+    measure: FlexibilityMeasure, probe_grid: Sequence[StartUpTime]
 ) -> MeasureValidationReport:
     """Check the measure axioms on a finite probe grid.
 
     The axioms are asymptotic, so this is the testable surrogate: strict
     monotone decrease and range [0, 1] across the grid, plus near-limit
-    checks at two fixed probes (defaults: score(0.001) >= 0.99 and
-    score(1000) <= 0.01). An empty violation list means valid on the grid.
+    checks at two fixed probes (score(0.001) >= 0.99 and score(1000) <=
+    0.01). An empty violation list means valid on the grid.
     """
     if not probe_grid:
         raise ValueError("probe grid must not be empty")
@@ -126,15 +126,15 @@ def validate_measure(
             violations.append(
                 f"monotonicity: score({x1}) = {s1} not > score({x2}) = {s2}"
             )
-    lo = measure(StartUpTime(near_one_probe))
-    if lo < near_one_min:
+    lo = measure(StartUpTime(NEAR_ONE_PROBE))
+    if lo < NEAR_ONE_MIN:
         violations.append(
-            f"limit: score({near_one_probe}) = {lo} < {near_one_min} (should approach 1)"
+            f"limit: score({NEAR_ONE_PROBE}) = {lo} < {NEAR_ONE_MIN} (should approach 1)"
         )
-    hi = measure(StartUpTime(near_zero_probe))
-    if hi > near_zero_max:
+    hi = measure(StartUpTime(NEAR_ZERO_PROBE))
+    if hi > NEAR_ZERO_MAX:
         violations.append(
-            f"limit: score({near_zero_probe}) = {hi} > {near_zero_max} (should approach 0)"
+            f"limit: score({NEAR_ZERO_PROBE}) = {hi} > {NEAR_ZERO_MAX} (should approach 0)"
         )
     return MeasureValidationReport(tuple(violations))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._numeric import exact_sum, frac, round_half_away, sorted_exact
 from .plants import PowerPlant
@@ -133,6 +133,33 @@ def merit_order(offers: Sequence[Offer]) -> list[Offer]:
     return sorted_exact(offers, lambda o: o.offer_price, tiebreak)
 
 
+def _fill(
+    capacities: Iterable[Fraction | int], demand: Fraction | int
+) -> tuple[int, int, int]:
+    """Fill demand (MW) from capacities taken in merit order.
+
+    Returns (count, rest, den): the first `count` plants are dispatched. A
+    positive rest / den is demand left unmet (a blackout, every plant
+    dispatched in full); a negative one is the MW the marginal plant leaves
+    unused. Ints and Fractions both work: only numerators and denominators
+    are read, and den grows only to cover the capacities visited.
+    """
+    count = 0
+    rest, den = demand.numerator, demand.denominator
+    for capacity in capacities:
+        if rest <= 0:
+            break
+        common = gcd(den, capacity.denominator)
+        scaled = capacity.numerator * (den // common)  # over lcm(den, its den)
+        if common != capacity.denominator:
+            grow = capacity.denominator // common
+            rest *= grow
+            den *= grow
+        rest -= scaled
+        count += 1
+    return count, rest, den
+
+
 def clear(
     offers: Sequence[Offer],
     plants: Sequence[PowerPlant],
@@ -154,36 +181,22 @@ def clear(
             raise ValueError(f"two offers for plant {offer.plant_id!r}")
         offered.add(offer.plant_id)
     demand = config.demand
-
-    # fill the merit order on ints: the demand still unserved is rest / den
-    # MW, den growing only to cover the capacities visited. Demand beyond
-    # every plant's capacity leaves a remainder, a blackout with everyone
-    # dispatched at the highest offer.
     stack = merit_order(offers) if offers else []
-    dispatch: dict[str, Fraction] = {}
-    rest, den = demand.numerator, demand.denominator
+    count, rest, den = _fill((o.capacity for o in stack), demand)
+    dispatch = {o.plant_id: o.capacity for o in stack[:count]}
     clearing_price = Fraction(0)
-    for offer in stack:
-        if rest == 0:
-            break
-        capacity = offer.capacity
-        common = gcd(den, capacity.denominator)
-        scaled = capacity.numerator * (den // common)  # over lcm(den, its den)
-        if common != capacity.denominator:
-            grow = capacity.denominator // common
-            rest *= grow
-            den *= grow
-        if scaled <= rest:
-            dispatch[offer.plant_id] = capacity
-            rest -= scaled
-        else:  # the marginal plant, partly dispatched
-            dispatch[offer.plant_id] = Fraction(rest, den)
-            rest = 0
-        clearing_price = offer.offer_price
+    if count:
+        marginal = stack[count - 1]
+        clearing_price = marginal.offer_price
+        if rest < 0:  # partly dispatched: den is a multiple of its denominator
+            capacity = marginal.capacity
+            dispatch[marginal.plant_id] = Fraction(
+                capacity.numerator * (den // capacity.denominator) + rest, den
+            )
 
     fee_ledger = {}
     profits = {}
-    for offer in stack[: len(dispatch)]:
+    for offer in stack[:count]:
         mw = dispatch[offer.plant_id]
         margin = clearing_price - offer.offer_price
         fee_ledger[offer.plant_id] = offer.fee_rate * mw

@@ -5,7 +5,6 @@ import pytest
 from flexmarket.analysis import (
     MAX_GRID_POINTS,
     clear_scenario,
-    find_first_change,
     p0_range,
     sweep_p0,
 )
@@ -81,13 +80,19 @@ class TestSweep:
                 assert later or not earlier
 
 
+def change_points(scenario, lo, hi, step):
+    """The p0 grid points lo:hi:step whose merit order differs from the
+    previous point's."""
+    return sweep_p0(scenario, p0_range(lo, hi, step)).change_points
+
+
 class TestFindFirstChange:
     def test_no_change_up_to_10(self, toy):
-        assert find_first_change(toy, Fraction(0), Fraction(10), Fraction(1)) is None
+        assert change_points(toy, Fraction(0), Fraction(10), Fraction(1)) == ()
 
     def test_change_found_by_70(self, toy):
-        threshold = find_first_change(toy, Fraction(0), Fraction(70), Fraction(1))
-        assert threshold is not None and threshold <= 70
+        changes = change_points(toy, Fraction(0), Fraction(70), Fraction(1))
+        assert changes and changes[0] <= 70
 
     def test_golden_threshold_is_14(self, toy):
         # independently: lignite (40 + 0.9 p0) and CHP (50 + 17/117 p0)
@@ -96,21 +101,19 @@ class TestFindFirstChange:
         # order is 14
         crossing = Fraction(10) / (Fraction(9, 10) - Fraction(17, 117))
         assert 13 < crossing < 14
-        assert find_first_change(toy, Fraction(0), Fraction(70), Fraction(1)) == 14
+        assert change_points(toy, Fraction(0), Fraction(70), Fraction(1))[0] == 14
 
     def test_single_plant_never_changes(self):
         scenario = single_plant_scenario()
-        assert find_first_change(scenario, Fraction(0), Fraction(100), Fraction(1)) is None
+        assert change_points(scenario, Fraction(0), Fraction(100), Fraction(1)) == ()
 
     def test_bad_bounds_rejected(self, toy):
-        with pytest.raises(ValueError):
-            find_first_change(toy, Fraction(5), Fraction(5), Fraction(1))
-        with pytest.raises(ValueError):
-            find_first_change(toy, Fraction(0), Fraction(5), Fraction(0))
+        with pytest.raises(ScenarioError, match="step"):
+            change_points(toy, Fraction(0), Fraction(5), Fraction(0))
 
     def test_grid_length_is_bounded(self, toy):
         with pytest.raises(ScenarioError, match="limit"):
-            find_first_change(toy, Fraction(0), Fraction(10**9), Fraction(1))
+            change_points(toy, Fraction(0), Fraction(10**9), Fraction(1))
 
 
 class TestP0Range:
@@ -132,3 +135,12 @@ class TestP0Range:
         assert len(p0_range(Fraction(0), top, Fraction(1))) == MAX_GRID_POINTS
         with pytest.raises(ScenarioError):
             p0_range(Fraction(0), top + 1, Fraction(1))
+
+    def test_step_must_be_positive(self):
+        # else a zero step divides by zero and a negative one gives a
+        # descending grid
+        for step in (Fraction(0), Fraction(-1), Fraction(-1, 3)):
+            with pytest.raises(ScenarioError, match="step must be > 0"):
+                p0_range(Fraction(0), Fraction(-3), step)
+            with pytest.raises(ScenarioError, match="step must be > 0"):
+                p0_range(Fraction(0), Fraction(1), step)

@@ -1,0 +1,117 @@
+"""The one fill kernel that `clear` and `sweep_p0` share: on Fraction
+capacities (as `clear` passes them) and on the same capacities scaled to
+ints (as `sweep_p0` passes them), against a plain Fraction fill."""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flexmarket.spotmarket import _fill
+
+
+def _coprime_20_digit(count):
+    found = []
+    k = 1
+    while len(found) < count:
+        candidate = 10**19 + k
+        if all(gcd(candidate, other) == 1 for other in found):
+            found.append(candidate)
+        k += 2
+    return found
+
+
+DENOMINATORS = [1, 2, 3, 7, 10, 97, 100, *_coprime_20_digit(4)]
+capacity_mw = st.builds(
+    Fraction,
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from(DENOMINATORS),
+).filter(lambda c: c <= 500)
+
+
+def reference_fill(capacities, demand):
+    """(count, rest) by the plain loop of `min(capacity, remaining)`; rest
+    is unmet demand if positive, the marginal plant's unused MW if
+    negative."""
+    dispatch = []
+    remaining = demand
+    for capacity in capacities:
+        if remaining == 0:
+            break
+        mw = min(capacity, remaining)
+        dispatch.append(mw)
+        remaining -= mw
+    if remaining > 0:
+        return len(dispatch), remaining
+    if dispatch:
+        return len(dispatch), dispatch[-1] - capacities[len(dispatch) - 1]
+    return 0, Fraction(0)
+
+
+def fills(capacities, demand):
+    """The kernel's (count, rest in MW) on Fractions and on ints over the
+    lcm of every denominator."""
+    count, rest, den = _fill(capacities, demand)
+    scale = lcm(demand.denominator, *(c.denominator for c in capacities))
+    scaled = [int(c * scale) for c in capacities]
+    int_count, int_rest, int_den = _fill(scaled, int(demand * scale))
+    return (count, Fraction(rest, den)), (int_count, Fraction(int_rest, int_den * scale))
+
+
+@st.composite
+def fill_cases(draw):
+    capacities = draw(st.lists(capacity_mw, max_size=8))
+    total = sum(capacities, Fraction(0))
+    prefix = draw(st.integers(min_value=0, max_value=len(capacities)))
+    served = sum(capacities[:prefix], Fraction(0))
+    kind = draw(st.sampled_from(["zero", "prefix", "partial", "blackout"]))
+    if kind == "zero":
+        demand = Fraction(0)
+    elif kind == "prefix":
+        demand = served
+    elif kind == "partial" and prefix < len(capacities):
+        share = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+                     .filter(lambda s: 0 < s < 1))
+        demand = served + share * capacities[prefix]
+    else:
+        demand = total + draw(capacity_mw)
+    return capacities, demand
+
+
+@settings(max_examples=300, deadline=None)
+@given(fill_cases())
+def test_fractions_and_scaled_ints_match_the_plain_fill(case):
+    capacities, demand = case
+    on_fractions, on_ints = fills(capacities, demand)
+    assert on_fractions == on_ints == reference_fill(capacities, demand)
+
+
+BIG = _coprime_20_digit(3)
+
+
+@pytest.mark.parametrize(
+    "capacities, demand, expected",
+    [
+        ([], Fraction(0), (0, 0)),
+        ([], Fraction(5), (0, 5)),  # blackout with nothing to dispatch
+        ([Fraction(3), Fraction(4)], Fraction(0), (0, 0)),
+        ([Fraction(3), Fraction(4)], Fraction(3), (1, 0)),  # exact prefix
+        ([Fraction(3), Fraction(4)], Fraction(7), (2, 0)),  # exact total
+        ([Fraction(3), Fraction(4)], Fraction(5), (2, -2)),  # partial marginal
+        ([Fraction(3), Fraction(4)], Fraction(9), (2, 2)),  # blackout
+        ([Fraction(1, 3), Fraction(1, 7)], Fraction(2, 5), (2, Fraction(-8, 105))),
+        ([Fraction(1, BIG[0]), Fraction(1, BIG[1]), Fraction(1, BIG[2])],
+         Fraction(1, BIG[0]) + Fraction(1, 2 * BIG[1]),
+         (2, Fraction(-1, 2 * BIG[1]))),
+    ],
+)
+def test_edge_cases(capacities, demand, expected):
+    on_fractions, on_ints = fills(capacities, demand)
+    assert on_fractions == on_ints == reference_fill(capacities, demand) == expected
+
+
+def test_den_grows_only_over_the_plants_visited():
+    capacities = [Fraction(1, BIG[0]), Fraction(1, BIG[1]), Fraction(1, BIG[2])]
+    count, _, den = _fill(capacities, Fraction(1, 2 * BIG[0]))
+    assert count == 1 and den == 2 * BIG[0]
