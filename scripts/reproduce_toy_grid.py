@@ -8,7 +8,9 @@ three-plant reserve pool against both fee totals.
 
 from fractions import Fraction
 
-from flexmarket import build_pool, clear_scenario, emit_report, emit_settlement, settle, toy_grid
+from flexmarket import (
+    CapacityConfig, build_pool, clear_scenario, emit_report, emit_settlement, settle, toy_grid,
+)
 from flexmarket.spotmarket import market_wide_fee_intensity, total_fee
 
 
@@ -28,7 +30,7 @@ def main() -> None:
     scenario = toy_grid(10, 25)
     pool = build_pool(
         scenario.plants, scenario.flexibilities(),
-        participants=["hydro", "gas", "chp"], allow_overlap=True,
+        CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
     )
     for cf in (205, 790):
         print(f"=== reliability payments for C_f = {cf} EUR/h ===")

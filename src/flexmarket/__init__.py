@@ -3,6 +3,7 @@ funding capacity-reserve reliability payments."""
 
 from .analysis import SweepPoint, SweepResult, clear_scenario, sweep_p0
 from .capacity import (
+    CapacityConfig,
     CapacityPool,
     CapacitySettlement,
     UnallocatableFeeError,

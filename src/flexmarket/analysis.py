@@ -1,8 +1,8 @@
 """Reference-price sweeps: merit-order change detection and the
 reserve-depletion paradox.
 
-The paradox: a reference price high enough that every eligible flexible
-plant clears on the spot market, leaving the capacity pool empty.
+The paradox (`capacity.is_paradox`): a reference price high enough that the
+spot market empties the reserve while C_f > 0, leaving nobody to pay.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from math import lcm
 from typing import Sequence
 
 from ._numeric import frac, sorted_exact
-from .capacity import eligible_plants
+from .capacity import is_paradox, reserve_candidates, reserve_members
 from .scenario import Scenario, ScenarioError
-from .spotmarket import ClearingResult, MarketConfig, _fill, clear, make_offers
+from .spotmarket import ClearingResult, _fill, clear, make_offers
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -38,7 +38,7 @@ class SweepPoint:
     merit_order: tuple[str, ...]
     dispatched: frozenset[str]
     total_fee_cf: Fraction
-    reserve: frozenset[str]  # eligible and not dispatched
+    reserve: frozenset[str]  # the pool `capacity` would build at this p0
     paradox: bool
 
 
@@ -96,6 +96,9 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     fill (the one `clear` uses), the dispatched set, the reserve and the
     fee sum are computed once per distinct order; each point builds only
     its price and C_f as Fractions.
+
+    The reserve and `paradox` are what `capacity` would report at that p0;
+    where it would reject the pool, this raises ValueError naming the p0.
     """
     if not scenario.plants:
         raise ValueError("scenario has no plants")
@@ -109,9 +112,7 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
 
     plants = scenario.plants
     phi = scenario.flexibilities()
-    eligible = frozenset(
-        eligible_plants(plants, phi, scenario.capacity.threshold)
-    )
+    candidates = reserve_candidates(plants, phi, scenario.capacity)
     n = len(plants)
     ids = [p.id for p in plants]
     fee_share = [1 - phi[pid] for pid in ids]
@@ -148,23 +149,27 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
             # capacities and demand are ints over e, so the fill's den is 1
             count, rest, _ = _fill(map(cap.__getitem__, order), q)
             dispatched = frozenset(merit[:count])
-            reserve = eligible - dispatched
-            paradox = bool(eligible) and not reserve
+            try:
+                members = reserve_members(candidates, scenario.capacity, dispatched)
+            except ValueError as exc:
+                raise ValueError(f"p0 = {p0}: {exc}") from None
+            reserve = frozenset(pid for pid, _, _ in members)
             fees = sum(map(fee_cap.__getitem__, order[:count]))
             mc_m = fee_m = 0  # nothing dispatched: price and C_f are 0
             if count:
                 marginal = order[count - 1]
                 mc_m, fee_m = mc_num[marginal], fee_num[marginal]
                 fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
+        cf = Fraction(a * fees, b * d * e)
         points.append(
             SweepPoint(
                 p0=p0,
                 clearing_price=Fraction(mc_m * b + fee_m * a, d * b),
                 merit_order=merit,
                 dispatched=dispatched,
-                total_fee_cf=Fraction(a * fees, b * d * e),
+                total_fee_cf=cf,
                 reserve=reserve,
-                paradox=paradox,
+                paradox=is_paradox(reserve, cf),
             )
         )
     return SweepResult(tuple(points), tuple(change_points))

@@ -1,36 +1,38 @@
-"""Capacity-mechanism eligibility and reliability-payment settlement.
+"""Capacity-mechanism eligibility, reserve rule and reliability payments.
 
 Plants whose flexibility score exceeds a threshold (default 1/2) may serve
 as capacity reserve. The fee pool C_f collected on the spot market is split
 among pool participants in proportion to phi_i * P_i, so the payments sum
-back to C_f by construction.
+back to C_f by construction. `capacity` and every sweep point take the
+reserve and the depletion paradox from the rule here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Container, Iterable, Mapping, Sequence
 
 from ._numeric import frac, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
-    "UnallocatableFeeError",
-    "CapacityPool",
-    "CapacitySettlement",
-    "eligible_plants",
-    "build_pool",
-    "settle",
+    "UnallocatableFeeError", "CapacityConfig", "CapacityPool", "CapacitySettlement",
+    "eligible_plants", "reserve_candidates", "reserve_members", "build_pool",
+    "is_paradox", "settle",
 ]
 
 
 class UnallocatableFeeError(ValueError):
-    """Raised when a positive fee pool has no reserve plant to receive it.
+    """A positive fee pool with no reserve plant to receive it: the
+    depletion paradox (`is_paradox`)."""
 
-    This is the depletion paradox: every eligible flexible plant is already
-    dispatched on the spot market.
-    """
+
+@dataclass(frozen=True)
+class CapacityConfig:
+    threshold: Fraction = Fraction(1, 2)
+    participants: tuple[str, ...] | None = None  # None = "auto"
+    allow_overlap: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,44 +81,57 @@ def eligible_plants(
     return sorted_exact(chosen, lambda pid: -phi[pid], lambda pid: pid)
 
 
+def reserve_candidates(
+    plants: Sequence[PowerPlant], phi: Mapping[str, Fraction], config: CapacityConfig
+) -> CapacityPool:
+    """The plants that may join the reserve, chosen once per scenario: the
+    eligible ones (auto), or the explicit list, whose ids must be known
+    (`CapacityPool` checks that each is eligible and listed once)."""
+    by_id = {p.id: p for p in plants}
+    ids = config.participants
+    if ids is None:
+        ids = eligible_plants(plants, phi, config.threshold)
+    for pid in ids:
+        if pid not in by_id:
+            raise ValueError(f"unknown participant {pid!r}")
+    return CapacityPool(
+        tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids),
+        eligibility_threshold=frac(config.threshold),
+    )
+
+
+def reserve_members(
+    candidates: CapacityPool, config: CapacityConfig, dispatched: Container[str]
+) -> tuple[tuple[str, Fraction, Fraction], ...]:
+    """The reserve once `dispatched` clear on the spot market, decided once
+    per dispatched set: the auto rule drops them, and an explicit list stays
+    whole but may not include them unless `allow_overlap` is set."""
+    if config.participants is None:
+        return tuple(m for m in candidates.participants if m[0] not in dispatched)
+    for pid, _, _ in candidates.participants:
+        if pid in dispatched and not config.allow_overlap:
+            raise ValueError(
+                f"{pid} is dispatched on the spot market and cannot join "
+                "the reserve pool (use allow_overlap to override)"
+            )
+    return candidates.participants
+
+
 def build_pool(
     plants: Sequence[PowerPlant],
     phi: Mapping[str, Fraction],
-    *,
-    threshold: Fraction = Fraction(1, 2),
-    participants: Sequence[str] | None = None,
+    config: CapacityConfig = CapacityConfig(),
     dispatched: Iterable[str] = (),
-    allow_overlap: bool = False,
 ) -> CapacityPool:
-    """Assemble the reserve pool.
+    """The reserve pool: `reserve_candidates`, then `reserve_members`."""
+    candidates = reserve_candidates(plants, phi, config)
+    members = reserve_members(candidates, config, set(dispatched))
+    return replace(candidates, participants=members)
 
-    With `participants=None` the pool is the auto rule: eligible and not
-    dispatched on the spot market. An explicit participant list is checked
-    for eligibility, and for disjointness from the dispatched set unless
-    `allow_overlap` is set.
-    """
-    by_id = {p.id: p for p in plants}
-    dispatched = set(dispatched)
-    if participants is None:
-        ids = [
-            pid
-            for pid in eligible_plants(plants, phi, threshold)
-            if pid not in dispatched
-        ]
-    else:
-        ids = list(participants)
-        for pid in ids:
-            if pid not in by_id:
-                raise ValueError(f"unknown participant {pid!r}")
-            if not allow_overlap and pid in dispatched:
-                raise ValueError(
-                    f"{pid} is dispatched on the spot market and cannot join "
-                    "the reserve pool (use allow_overlap to override)"
-                )
-    return CapacityPool(
-        tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids),
-        eligibility_threshold=frac(threshold),
-    )
+
+def is_paradox(reserve: Collection[object], cf: Fraction) -> bool:
+    """The depletion paradox, on which `settle` raises: C_f > 0, empty reserve."""
+    return not reserve and cf > 0
 
 
 def settle(pool: CapacityPool, cf: Fraction) -> CapacitySettlement:
@@ -124,12 +139,10 @@ def settle(pool: CapacityPool, cf: Fraction) -> CapacitySettlement:
     cf = frac(cf)
     if cf < 0:
         raise ValueError("fee pool C_f must be >= 0")
-    if not pool.participants:
-        if cf > 0:
-            raise UnallocatableFeeError(
-                f"fee pool of {cf} EUR/h but no reserve plant to receive it"
-            )
-        return CapacitySettlement({}, cf)
+    if is_paradox(pool.participants, cf):
+        raise UnallocatableFeeError(
+            f"fee pool of {cf} EUR/h but no reserve plant to receive it"
+        )
     p_flex = pool.p_flex
     payments = {
         pid: phi * cap / p_flex * cf for pid, phi, cap in pool.participants

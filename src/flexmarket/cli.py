@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def _parse_grid(spec: str) -> list[Fraction]:
     except (ValueError, TypeError):
         raise ScenarioError(f"bad p0 grid {spec!r}, expected LO:HI:STEP") from None
     if hi < lo:
-        raise ScenarioError(f"bad p0 grid {spec!r}: need lo <= hi and step > 0")
+        raise ScenarioError(f"bad p0 grid {spec!r}: need lo <= hi")
     return p0_range(lo, hi, step)
 
 
@@ -100,8 +101,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_clear(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.demand is not None:
-        from dataclasses import replace
-
         scenario = replace(
             scenario, market=replace(scenario.market, demand=frac(args.demand))
         )
@@ -127,14 +126,11 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = clear_scenario(scenario)
     cf = result.total_fee_cf if args.cf is None else frac(args.cf)
-    pool = build_pool(
-        scenario.plants,
-        {offer.plant_id: offer.phi for offer in result.offers},  # scored once
-        threshold=scenario.capacity.threshold,
-        participants=scenario.capacity.participants,
-        dispatched=result.dispatch,
-        allow_overlap=args.allow_overlap or scenario.capacity.allow_overlap,
-    )
+    config = scenario.capacity
+    if args.allow_overlap:
+        config = replace(config, allow_overlap=True)
+    phi = {offer.plant_id: offer.phi for offer in result.offers}  # scored once
+    pool = build_pool(scenario.plants, phi, config, result.dispatch)
     try:
         settlement = settle(pool, cf)
     except UnallocatableFeeError as exc:

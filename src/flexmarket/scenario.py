@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
+from .capacity import CapacityConfig
 from .flexibility import BUILTIN_MEASURES, FlexibilityMeasure, StartUpTime
 from .plants import PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
@@ -25,7 +26,6 @@ __all__ = [
     "UnknownMeasureError",
     "DuplicatePlantIdError",
     "InvalidNumberError",
-    "CapacityConfig",
     "Scenario",
     "load_scenario",
     "toy_grid",
@@ -50,13 +50,6 @@ class DuplicatePlantIdError(ScenarioError):
 
 class InvalidNumberError(ScenarioError):
     """A numeric field is missing, non-numeric, or out of range."""
-
-
-@dataclass(frozen=True)
-class CapacityConfig:
-    threshold: Fraction = Fraction(1, 2)
-    participants: tuple[str, ...] | None = None  # None = "auto"
-    allow_overlap: bool = False
 
 
 @dataclass(frozen=True)
@@ -218,11 +211,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioParseError(
             f"capacity.allow_overlap: expected true or false, got {allow_overlap!r}"
         )
-    capacity = CapacityConfig(
-        threshold=threshold,
-        participants=participants,
-        allow_overlap=allow_overlap,
-    )
+    capacity = CapacityConfig(threshold, participants, allow_overlap)
 
     measure_name = doc.get("measure", "hyperbolic")
     if not isinstance(measure_name, str):
@@ -230,12 +219,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     if measure_name not in BUILTIN_MEASURES:
         raise UnknownMeasureError(f"measure: unknown measure {measure_name!r}")
 
-    return Scenario(
-        plants=tuple(plants),
-        market=config,
-        capacity=capacity,
-        measure_name=measure_name,
-    )
+    return Scenario(tuple(plants), config, capacity, measure_name)
 
 
 def _scenario_from_csv(text: str) -> Scenario:

@@ -15,7 +15,7 @@ That test fails by design rather than papering over the inconsistency.
 from fractions import Fraction
 
 from flexmarket.analysis import clear_scenario, sweep_p0
-from flexmarket.capacity import build_pool, settle
+from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import market_wide_fee_intensity, total_fee
 
@@ -98,7 +98,7 @@ def test_criterion_5_settlement_table():
     toy = toy_grid(10, 25)
     pool = build_pool(
         toy.plants, toy.flexibilities(),
-        participants=["hydro", "gas", "chp"], allow_overlap=True,
+        CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
     )
     expected = {205: {"hydro": 74, "gas": 67, "chp": 64},
                 790: {"hydro": 284, "gas": 259, "chp": 247}}

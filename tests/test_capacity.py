@@ -4,6 +4,7 @@ import pytest
 
 from flexmarket.analysis import clear_scenario
 from flexmarket.capacity import (
+    CapacityConfig,
     CapacityPool,
     UnallocatableFeeError,
     build_pool,
@@ -19,7 +20,8 @@ def phis(toy):
 
 
 def pool_of(toy, phis, ids):
-    return build_pool(toy.plants, phis, participants=ids, allow_overlap=True)
+    config = CapacityConfig(participants=tuple(ids), allow_overlap=True)
+    return build_pool(toy.plants, phis, config)
 
 
 class TestEligibility:
@@ -52,16 +54,15 @@ class TestBuildPool:
         with pytest.raises(ValueError, match="dispatched"):
             build_pool(
                 toy.plants, phis,
-                participants=["hydro", "gas", "chp"],
+                CapacityConfig(participants=("hydro", "gas", "chp")),
                 dispatched={"hydro", "chp"},
             )
 
     def test_override_allows_overlap(self, toy, phis):
         pool = build_pool(
             toy.plants, phis,
-            participants=["hydro", "gas", "chp"],
+            CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
             dispatched={"hydro", "chp"},
-            allow_overlap=True,
         )
         assert len(pool.participants) == 3
 

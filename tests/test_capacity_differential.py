@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,13 +43,12 @@ def oracle(scenario_path, cf_arg, allow_overlap, fmt, rounding):
     result = clear_scenario(scenario)
     cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
     try:
-        pool = build_pool(
-            scenario.plants,
-            scenario.flexibilities(),
-            threshold=scenario.capacity.threshold,
-            participants=scenario.capacity.participants,
-            dispatched=result.dispatch,
+        config = replace(
+            scenario.capacity,
             allow_overlap=allow_overlap or scenario.capacity.allow_overlap,
+        )
+        pool = build_pool(
+            scenario.plants, scenario.flexibilities(), config, result.dispatch
         )
         settlement = settle(pool, cf)
     except UnallocatableFeeError:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexmarket.cli import main
 
@@ -9,6 +15,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_doc(path, toy_grid_path, market=None, capacity=None):
+    """The toy grid with some market and capacity fields replaced."""
+    doc = json.loads(toy_grid_path.read_text())
+    doc["market"].update(market or {})
+    doc["capacity"].update(capacity or {})
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestValidate:
@@ -121,6 +136,69 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", str(toy_grid_path), "--p0-grid", "10")
         assert code == 1
 
+    def test_descending_grid_names_only_the_bound_rule(self, capsys, toy_grid_path):
+        # the step is checked by p0_range, with its own message
+        code, out, err = run(capsys, "sweep", str(toy_grid_path), "--p0-grid", "5:1:1")
+        assert (code, out) == (1, "")
+        assert err == "validation error: bad p0 grid '5:1:1': need lo <= hi\n"
+        code, _, err = run(capsys, "sweep", str(toy_grid_path), "--p0-grid", "1:5:0")
+        assert code == 1
+        assert "step must be > 0" in err
+
+    def test_pinned_overlapping_pool_pays_like_capacity(self, capsys, tmp_path,
+                                                         toy_grid_path):
+        # hydro and gas are dispatched at p0 = 70 but pinned with overlap:
+        # the sweep once reported an empty reserve and a paradox (exit 3)
+        path = write_doc(
+            tmp_path / "pinned.json", toy_grid_path, {"p0_eur_per_mwh": 70},
+            {"participants": ["hydro", "gas"], "allow_overlap": True},
+        )
+        code, out, _ = run(capsys, "capacity", path, "--format", "json")
+        assert code == 0
+        payments = {
+            r["plant_id"]: round(r["reliability_payment_eur_per_h"], 2)
+            for r in json.loads(out)["payments"]
+        }
+        assert payments == {"hydro": 412.60, "gas": 375.76}
+        code, out, err = run(
+            capsys, "sweep", path, "--p0-grid", "70:70:1", "--fail-on-paradox",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (point,) = json.loads(out)["points"]
+        assert (point["reserve"], point["paradox"]) == ("gas|hydro", False)
+
+    def test_empty_reserve_at_zero_fee_is_no_paradox(self, capsys, tmp_path,
+                                                     toy_grid_path):
+        # demand 40 dispatches all eight plants, but at p0 = 0 C_f is 0:
+        # capacity settles nothing and exits 0, and so must the sweep
+        path = write_doc(tmp_path / "full.json", toy_grid_path,
+                         {"p0_eur_per_mwh": 0, "demand_mw": 40})
+        code, out, _ = run(capsys, "capacity", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "payments": [], "summary": {"source_fee_cf_eur_per_h": 0}
+        }
+        code, out, err = run(
+            capsys, "sweep", path, "--p0-grid", "0:0:1", "--fail-on-paradox",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (point,) = json.loads(out)["points"]
+        assert (point["reserve"], point["total_fee_cf"], point["paradox"]) == ("", 0, False)
+
+    def test_pinned_dispatched_without_overlap_exit_1(self, capsys, tmp_path,
+                                                      toy_grid_path):
+        # capacity rejects this pool at every p0, so the sweep fails at the
+        # first point and names the plant and the p0
+        path = write_doc(tmp_path / "pinned.json", toy_grid_path,
+                         capacity={"participants": ["hydro", "gas", "chp"]})
+        code, out, err = run(capsys, "capacity", path)
+        assert (code, out) == (1, "")
+        code, out, err = run(capsys, "sweep", path, "--p0-grid", "0:80:1")
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: p0 = 0: hydro is dispatched")
+
     def test_oversized_grid_rejected_before_allocation(self, capsys, toy_grid_path):
         code, out, err = run(
             capsys, "sweep", str(toy_grid_path), "--p0-grid", "0:1000000000:1"
@@ -132,11 +210,7 @@ class TestSweep:
 
 class TestCapacity:
     def test_literal_cf_with_overlap(self, capsys, tmp_path, toy_grid_path):
-        # reproduce the three-plant settlement column directly from a C_f
-        code, out, _ = run(
-            capsys, "capacity", str(toy_grid_path), "--cf", "205",
-            "--allow-overlap", "--format", "json", "--rounding", "paper-rounded",
-        )
+        # reproduce the three-plant settlement column directly from a C_f;
         # auto participants exclude dispatched plants, so pin them explicitly
         doc = json.loads(toy_grid_path.read_text())
         doc["capacity"]["participants"] = ["hydro", "gas", "chp"]
@@ -195,3 +269,77 @@ class TestCapacity:
         )
         assert (code, out) == (1, "")
         assert "capacity.participants[1]" in err
+
+
+def _call(*argv):
+    """(exit code, stdout) of one in-process CLI call; stderr is dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--output", str(out)])
+        return code, out.read_bytes() if out.exists() else b""
+
+
+@st.composite
+def pool_cases(draw):
+    """A scenario document with an auto or pinned pool, and a p0 for it."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    plants = [
+        {
+            "id": f"p{i}",
+            "start_up_time_h": draw(st.sampled_from(["inf", "0", "0.02", "0.5", "1", "3"])),
+            "marginal_cost_eur_per_mwh": draw(st.integers(min_value=0, max_value=100)),
+            "capacity_mw": draw(st.sampled_from([5, 10, 15])),
+        }
+        for i in range(n)
+    ]
+    threshold = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)]))
+    # phi = 1/(1 + start-up hours); pin eligible plants unless none is
+    eligible = [
+        p["id"] for p in plants
+        if p["start_up_time_h"] != "inf"
+        and 1 / (1 + Fraction(p["start_up_time_h"])) > threshold
+    ]
+    pinnable = eligible or [p["id"] for p in plants]
+    total = sum(p["capacity_mw"] for p in plants)
+    p0 = draw(st.fractions(min_value=0, max_value=100, max_denominator=4))
+    doc = {
+        "plants": plants,
+        "market": {"p0_eur_per_mwh": f"{p0.numerator}/{p0.denominator}",
+                   "demand_mw": draw(st.integers(min_value=0, max_value=total + 5))},
+        "capacity": {
+            "threshold": f"{threshold.numerator}/{threshold.denominator}",
+            "participants": draw(
+                st.just("auto") | st.lists(st.sampled_from(pinnable), unique=True)
+            ),
+            "allow_overlap": draw(st.booleans()),
+        },
+    }
+    return doc, p0
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_cases())
+def test_sweep_point_reports_what_capacity_does(case):
+    # the same scenario, swept at its own p0: same exit code (1 where the pool
+    # is rejected, 3 on the paradox) and, on success, the same reserve
+    doc, p0 = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc))
+        capacity_code, capacity_out = _call("capacity", str(path), "--format", "json")
+        sweep_code, sweep_out = _call(
+            "sweep", str(path), "--p0-grid", f"{p0}:{p0}:1", "--fail-on-paradox",
+            "--format", "json",
+        )
+    assert sweep_code == capacity_code
+    if capacity_code == 1:
+        assert sweep_out == b""
+        return
+    (point,) = json.loads(sweep_out)["points"]
+    assert point["paradox"] == (capacity_code == 3)
+    if capacity_code == 0:
+        paid = sorted(r["plant_id"] for r in json.loads(capacity_out)["payments"])
+        assert point["reserve"] == "|".join(paid)
+    else:
+        assert point["reserve"] == ""

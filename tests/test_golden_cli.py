@@ -1,10 +1,12 @@
 """CLI stdout bytes and exit codes against stored outputs: every command on
-the toy grid, and JSON clearing and capacity reports on a 100-plant scenario
-with decimal inputs (fractional capacities and demand, a partly dispatched
-marginal plant).
+the toy grid, `capacity` and `sweep` on the toy grid with a pinned reserve
+(`toy-grid-pinned.json`: hydro, gas and CHP, overlap allowed), and JSON
+clearing and capacity reports on a 100-plant scenario with decimal inputs
+(fractional capacities and demand, a partly dispatched marginal plant).
 
 Each case runs `flexmarket.cli.main` in process and compares its exit code
-and stdout byte for byte with `tests/golden/<case>.out`. To rewrite the
+and stdout byte for byte with `tests/golden/<case>.out`. Each point of the
+stored sweeps is also checked against `capacity` at that p0. To rewrite the
 stored outputs after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from flexmarket.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TOY_GRID = str(SCENARIOS / "toy-grid.json")
+TOY_GRID_PINNED = str(SCENARIOS / "toy-grid-pinned.json")
 DECIMAL_100 = str(SCENARIOS / "decimal-100.json")
 
 
@@ -34,6 +38,9 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         "capacity-from-clearing": ["capacity", TOY_GRID],
         "capacity-cf-790-overlap": ["capacity", TOY_GRID, "--cf", "790", "--allow-overlap"],
         "sweep-0-80-1": ["sweep", TOY_GRID, "--p0-grid", "0:80:1"],
+        "pinned-capacity-from-clearing": ["capacity", TOY_GRID_PINNED],
+        "pinned-capacity-cf-790": ["capacity", TOY_GRID_PINNED, "--cf", "790"],
+        "pinned-sweep-0-80-1": ["sweep", TOY_GRID_PINNED, "--p0-grid", "0:80:1"],
     }
     cases = {}
     for name, argv in commands.items():
@@ -69,6 +76,25 @@ def test_cli_bytes_match_golden(name):
     code, out = _run(argv)
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sweep, scenario",
+    [("sweep-0-80-1", TOY_GRID), ("pinned-sweep-0-80-1", TOY_GRID_PINNED)],
+)
+def test_sweep_points_report_what_capacity_does(sweep, scenario, tmp_path):
+    # at each stored point, capacity on the scenario with that p0 exits 3
+    # exactly where the point flags the paradox, and otherwise pays the reserve
+    points = json.loads((GOLDEN / f"{sweep}.json.exact.out").read_text())["points"]
+    doc = json.loads(Path(scenario).read_text())
+    path = tmp_path / "at-p0.json"
+    for point in points:
+        doc["market"]["p0_eur_per_mwh"] = point["p0"]
+        path.write_text(json.dumps(doc))
+        code, out = _run(["capacity", str(path), "--format", "json"])
+        assert code == (3 if point["paradox"] else 0)
+        paid = [r["plant_id"] for r in json.loads(out)["payments"]] if code == 0 else []
+        assert point["reserve"] == "|".join(sorted(paid))
 
 
 if __name__ == "__main__":

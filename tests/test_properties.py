@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.capacity import CapacityPool, build_pool, settle
+from flexmarket.capacity import CapacityConfig, CapacityPool, build_pool, settle
 from flexmarket.flexibility import StartUpTime, hyperbolic_measure
 from flexmarket.plants import PowerPlant, flexibilities_for
 from flexmarket.spotmarket import MarketConfig, clear, make_offers
@@ -87,10 +87,11 @@ class TestSettlementProperties:
             st.none() | st.lists(st.sampled_from(eligible or ids), max_size=2 * len(ids))
         )
         try:
-            pool = build_pool(
-                plants, phis, participants=participants, dispatched=dispatched,
+            config = CapacityConfig(
+                participants=None if participants is None else tuple(participants),
                 allow_overlap=data.draw(st.booleans()),
             )
+            pool = build_pool(plants, phis, config, dispatched)
             payments = settle(pool, cf).payments
         except ValueError:  # ineligible, overlapping, repeated, or no one to pay
             return

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.analysis import clear_scenario, sweep_p0
-from flexmarket.capacity import build_pool, settle
+from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket import reports
 from flexmarket.reports import _json_bytes, emit_report, emit_settlement, emit_sweep
 from flexmarket.scenario import toy_grid
@@ -110,7 +110,7 @@ class TestEmitSettlement:
     def test_plain_table(self, toy):
         pool = build_pool(
             toy.plants, toy.flexibilities(),
-            participants=["hydro", "gas", "chp"], allow_overlap=True,
+            CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
         )
         text = emit_settlement(settle(pool, Fraction(790)), "plain-table",
                                "paper-rounded").decode()

@@ -1,15 +1,22 @@
-"""Differential test: the integer-key sweep against per-point clearings."""
+"""Differential test: the integer-key sweep against per-point clearings and
+the capacity path's reserve and paradox at each point."""
 
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.analysis import SweepPoint, SweepResult, clear_scenario, sweep_p0
-from flexmarket.capacity import eligible_plants
-from flexmarket.flexibility import StartUpTime
-from flexmarket.plants import PowerPlant
-from flexmarket.scenario import CapacityConfig, Scenario
+from flexmarket.capacity import (
+    CapacityConfig,
+    UnallocatableFeeError,
+    build_pool,
+    settle,
+)
+from flexmarket.flexibility import StartUpTime, hyperbolic_measure
+from flexmarket.plants import PowerPlant, flexibilities_for
+from flexmarket.scenario import Scenario
 from flexmarket.spotmarket import MarketConfig
 
 RUNS = settings(max_examples=200, deadline=None)
@@ -30,19 +37,25 @@ capacity_mw = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominat
 
 
 def brute_force_sweep(scenario, grid):
-    """The reference: one full clearing per grid point."""
-    eligible = set(
-        eligible_plants(
-            scenario.plants, scenario.flexibilities(), scenario.capacity.threshold
-        )
-    )
+    """The reference: one full clearing per grid point, with the reserve and
+    the paradox that the capacity path (`build_pool` + `settle` on the
+    clearing's C_f) gives there. Where that path rejects the pool, raise its
+    ValueError, naming the p0."""
+    phi = scenario.flexibilities()
     points = []
     change_points = []
     previous_order = None
     for p0 in grid:
         result = clear_scenario(scenario, p0)
         dispatched = frozenset(result.dispatch)
-        reserve = frozenset(eligible - dispatched)
+        try:
+            pool = build_pool(scenario.plants, phi, scenario.capacity, dispatched)
+            settle(pool, result.total_fee_cf)
+            paradox = False
+        except UnallocatableFeeError:
+            paradox = True
+        except ValueError as exc:
+            raise ValueError(f"p0 = {p0}: {exc}") from None
         points.append(
             SweepPoint(
                 p0=p0,
@@ -50,8 +63,8 @@ def brute_force_sweep(scenario, grid):
                 merit_order=result.merit_order,
                 dispatched=dispatched,
                 total_fee_cf=result.total_fee_cf,
-                reserve=reserve,
-                paradox=bool(eligible) and not reserve,
+                reserve=frozenset(pid for pid, _, _ in pool.participants),
+                paradox=paradox,
             )
         )
         if previous_order is not None and result.merit_order != previous_order:
@@ -89,10 +102,15 @@ def scenarios(draw):
         st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                      max_denominator=100)
     )
+    # the auto pool, or a pinned list of eligible plants (possibly empty)
+    phi = flexibilities_for(plants, hyperbolic_measure())
+    eligible = [p.id for p in plants if phi[p.id] > threshold]
+    pinned = st.lists(st.sampled_from(eligible), unique=True) if eligible else st.just([])
+    participants = draw(st.none() | pinned.map(tuple))
     return Scenario(
         plants=tuple(plants),
         market=MarketConfig(0, ratio * total),
-        capacity=CapacityConfig(threshold=threshold),
+        capacity=CapacityConfig(threshold, participants, draw(st.booleans())),
     )
 
 
@@ -106,7 +124,14 @@ class TestSweepMatchesPerPointClearing:
     @RUNS
     @given(scenarios(), grids)
     def test_points_and_change_points_equal(self, scenario, grid):
-        assert sweep_p0(scenario, grid) == brute_force_sweep(scenario, grid)
+        try:
+            expected = brute_force_sweep(scenario, grid)
+        except ValueError as exc:  # capacity would exit 1 at some grid point
+            with pytest.raises(ValueError) as raised:
+                sweep_p0(scenario, grid)
+            assert str(raised.value) == str(exc)
+            return
+        assert sweep_p0(scenario, grid) == expected
 
     def test_toy_grid_fine(self, toy):
         grid = [Fraction(i, 4) for i in range(0, 321)]
