@@ -50,8 +50,6 @@ class SweepResult:
 
 def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingResult:
     """Run one spot clearing of the scenario, optionally overriding p0."""
-    if not scenario.plants:
-        raise ValueError("scenario has no plants")
     config = scenario.market
     if p0 is not None:
         config = replace(config, reference_price_p0=frac(p0))
@@ -100,8 +98,6 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     The reserve and `paradox` are what `capacity` would report at that p0;
     where it would reject the pool, this raises ValueError naming the p0.
     """
-    if not scenario.plants:
-        raise ValueError("scenario has no plants")
     grid = [frac(p) for p in p0_grid]
     if not grid:
         raise ValueError("p0 grid must not be empty")

@@ -30,9 +30,30 @@ class UnallocatableFeeError(ValueError):
 
 @dataclass(frozen=True)
 class CapacityConfig:
+    """Eligibility threshold in (0, 1), the reserve participants (None for
+    "auto", else distinct plant ids) and whether dispatched plants may join."""
+
     threshold: Fraction = Fraction(1, 2)
-    participants: tuple[str, ...] | None = None  # None = "auto"
+    participants: tuple[str, ...] | None = None
     allow_overlap: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold", frac(self.threshold))
+        if not (0 < self.threshold < 1):
+            raise ValueError("threshold: must lie in (0, 1)")
+        seen: set[str] = set()
+        for i, pid in enumerate(self.participants or ()):
+            if not isinstance(pid, str):
+                raise ValueError(
+                    f"participants[{i}]: expected a plant id string, got {pid!r}"
+                )
+            if pid in seen:
+                raise ValueError(f"participants[{i}]: plant id {pid!r} is listed twice")
+            seen.add(pid)
+        if not isinstance(self.allow_overlap, bool):
+            raise ValueError(
+                f"allow_overlap: expected true or false, got {self.allow_overlap!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -43,11 +64,7 @@ class CapacityPool:
     eligibility_threshold: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
         for pid, phi, cap in self.participants:
-            if pid in seen:
-                raise ValueError(f"{pid}: listed twice in the reserve pool")
-            seen.add(pid)
             if not phi > self.eligibility_threshold:
                 raise ValueError(
                     f"{pid}: phi = {phi} does not exceed threshold "
@@ -69,14 +86,13 @@ class CapacitySettlement:
 
 
 def eligible_plants(
-    plants: Sequence[PowerPlant],
+    plants: Iterable[PowerPlant],
     phi: Mapping[str, Fraction],
-    threshold: Fraction = Fraction(1, 2),
+    config: CapacityConfig = CapacityConfig(),
 ) -> list[str]:
-    """Plant ids with phi strictly above the threshold, by descending phi."""
-    threshold = frac(threshold)
-    if not (0 < threshold < 1):
-        raise ValueError("threshold must lie in (0, 1)")
+    """Plant ids with phi strictly above the config's threshold, by
+    descending phi."""
+    threshold = config.threshold
     chosen = [p.id for p in plants if phi[p.id] > threshold]
     return sorted_exact(chosen, lambda pid: -phi[pid], lambda pid: pid)
 
@@ -86,17 +102,19 @@ def reserve_candidates(
 ) -> CapacityPool:
     """The plants that may join the reserve, chosen once per scenario: the
     eligible ones (auto), or the explicit list, whose ids must be known
-    (`CapacityPool` checks that each is eligible and listed once)."""
+    (`CapacityPool` checks that each is eligible). For an explicit list,
+    `phi` needs only the listed plants' scores. Each id is one plant here,
+    so the pool never holds an id twice."""
     by_id = {p.id: p for p in plants}
     ids = config.participants
     if ids is None:
-        ids = eligible_plants(plants, phi, config.threshold)
+        ids = eligible_plants(by_id.values(), phi, config)
     for pid in ids:
         if pid not in by_id:
-            raise ValueError(f"unknown participant {pid!r}")
+            raise ValueError(f"unknown plant id {pid!r}")
     return CapacityPool(
         tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids),
-        eligibility_threshold=frac(config.threshold),
+        eligibility_threshold=config.threshold,
     )
 
 

@@ -1,7 +1,10 @@
 """Scenario model and file ingestion (JSON canonical, CSV plant table).
 
 Scenario numbers are parsed into exact fractions; `start_up_time_h` accepts
-the string "inf" for plants with no guaranteed start-up.
+the string "inf" for plants with no guaranteed start-up. The parser checks
+only the document's structure and its number syntax: each scenario rule is
+checked by the model type that owns it, and the parser adds the JSON path
+to that type's error.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
-from .capacity import CapacityConfig
+from .capacity import CapacityConfig, reserve_candidates
 from .flexibility import BUILTIN_MEASURES, FlexibilityMeasure, StartUpTime
 from .plants import PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
@@ -54,18 +56,41 @@ class InvalidNumberError(ScenarioError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """Plants, market and capacity settings, and the flexibility measure.
+
+    Construction checks the rules that span the parts: at least one plant,
+    unique plant ids, a built-in measure, and an explicit participant list
+    of known, eligible plants (only the listed plants are scored for it).
+    Each error is a `ScenarioError` that names the section at fault.
+    """
+
     plants: tuple[PowerPlant, ...]
     market: MarketConfig
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     measure_name: str = "hyperbolic"
 
+    def __post_init__(self) -> None:
+        if not self.plants:
+            raise ScenarioParseError("plants: expected at least one plant")
+        by_id: dict[str, PowerPlant] = {}
+        for p in self.plants:
+            if p.id in by_id:
+                raise DuplicatePlantIdError(f"plants: duplicate plant id {p.id!r}")
+            by_id[p.id] = p
+        if self.measure_name not in BUILTIN_MEASURES:
+            raise UnknownMeasureError(f"measure: unknown measure {self.measure_name!r}")
+        pinned = self.capacity.participants
+        if pinned is not None:
+            listed = [by_id[pid] for pid in pinned if pid in by_id]
+            try:
+                reserve_candidates(
+                    self.plants, flexibilities_for(listed, self.measure()), self.capacity
+                )
+            except ValueError as exc:
+                raise ScenarioParseError(f"capacity.participants: {exc}") from None
+
     def measure(self) -> FlexibilityMeasure:
-        try:
-            return BUILTIN_MEASURES[self.measure_name]()
-        except KeyError:
-            raise UnknownMeasureError(
-                f"measure: unknown measure {self.measure_name!r}"
-            ) from None
+        return BUILTIN_MEASURES[self.measure_name]()
 
     def flexibilities(self) -> dict[str, Fraction]:
         return flexibilities_for(self.plants, self.measure())
@@ -90,54 +115,33 @@ def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
         )
 
 
-def _number(raw: object, path: str, *, nonnegative: bool = False) -> Fraction:
+def _number(raw: object, path: str) -> Fraction:
     try:
-        value = frac(raw)  # type: ignore[arg-type]
+        return frac(raw)  # type: ignore[arg-type]
     except TypeError:
         raise InvalidNumberError(f"{path}: expected a number, got {raw!r}") from None
     except ValueError as exc:
         raise InvalidNumberError(f"{path}: expected a number: {exc}") from None
-    if nonnegative and value.numerator < 0:
-        raise InvalidNumberError(f"{path}: {value} is below minimum 0")
-    return value
-
-
-def _start_up(raw: object, path: str) -> StartUpTime:
-    if isinstance(raw, str) and raw == "inf":
-        return StartUpTime.unbounded()
-    value = _number(raw, path)
-    if value.numerator < 0:
-        raise InvalidNumberError(f"{path}: start-up time must be >= 0")
-    return StartUpTime(value)
 
 
 def _plant_from_record(record: dict, path: str) -> PowerPlant:
     _check_keys(record, _PLANT_KEYS, path)
     pid = record.get("id")
-    if not isinstance(pid, str) or not pid:
-        raise ScenarioParseError(f"{path}.id: expected a non-empty string")
-    return PowerPlant(
-        id=pid,
-        start_up_time=_start_up(
-            record.get("start_up_time_h"), f"{path}.start_up_time_h"
-        ),
-        marginal_cost=_number(
-            record.get("marginal_cost_eur_per_mwh"),
-            f"{path}.marginal_cost_eur_per_mwh",
-            nonnegative=True,
-        ),
-        capacity=_number(
-            record.get("capacity_mw"), f"{path}.capacity_mw"
-        ),
+    if not isinstance(pid, str):
+        raise ScenarioParseError(f"{path}.id: expected a string, got {pid!r}")
+    raw_hours = record.get("start_up_time_h")
+    hours = (
+        None if isinstance(raw_hours, str) and raw_hours == "inf"
+        else _number(raw_hours, f"{path}.start_up_time_h")
     )
-
-
-def _check_unique_ids(plants: Sequence[PowerPlant]) -> None:
-    seen: set[str] = set()
-    for p in plants:
-        if p.id in seen:
-            raise DuplicatePlantIdError(f"plants: duplicate plant id {p.id!r}")
-        seen.add(p.id)
+    mc = _number(
+        record.get("marginal_cost_eur_per_mwh"), f"{path}.marginal_cost_eur_per_mwh"
+    )
+    capacity = _number(record.get("capacity_mw"), f"{path}.capacity_mw")
+    try:
+        return PowerPlant(pid, StartUpTime(hours), mc, capacity)
+    except ValueError as exc:
+        raise InvalidNumberError(f"{path}: {exc}") from None
 
 
 def _scenario_from_dict(doc: dict) -> Scenario:
@@ -145,80 +149,48 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioParseError("scenario document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
     raw_plants = doc.get("plants")
-    if not isinstance(raw_plants, list) or not raw_plants:
-        raise ScenarioParseError("plants: expected a non-empty list")
+    if not isinstance(raw_plants, list):
+        raise ScenarioParseError("plants: expected a list")
     plants = []
     for i, record in enumerate(raw_plants):
         if not isinstance(record, dict):
             raise ScenarioParseError(f"plants[{i}]: expected an object")
-        try:
-            plants.append(_plant_from_record(record, f"plants[{i}]"))
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise InvalidNumberError(f"plants[{i}]: {exc}") from None
-    _check_unique_ids(plants)
+        plants.append(_plant_from_record(record, f"plants[{i}]"))
 
     market = doc.get("market", {})
     if not isinstance(market, dict):
         raise ScenarioParseError("market: expected an object")
     _check_keys(market, _MARKET_KEYS, "market")
+    p0 = _number(market.get("p0_eur_per_mwh", 0), "market.p0_eur_per_mwh")
+    demand = _number(market.get("demand_mw", 0), "market.demand_mw")
+    period = _number(market.get("period_h", 1), "market.period_h")
     try:
-        config = MarketConfig(
-            reference_price_p0=_number(market.get("p0_eur_per_mwh", 0),
-                                       "market.p0_eur_per_mwh", nonnegative=True),
-            demand=_number(market.get("demand_mw", 0), "market.demand_mw",
-                           nonnegative=True),
-            period=_number(market.get("period_h", 1), "market.period_h"),
-        )
+        config = MarketConfig(p0, demand, period)
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise InvalidNumberError(f"market: {exc}") from None
 
     cap = doc.get("capacity", {})
     if not isinstance(cap, dict):
         raise ScenarioParseError("capacity: expected an object")
     _check_keys(cap, _CAPACITY_KEYS, "capacity")
-    raw_participants = cap.get("participants", "auto")
-    if raw_participants == "auto":
+    participants = cap.get("participants", "auto")
+    if participants == "auto":
         participants = None
-    elif isinstance(raw_participants, list):
-        participants = tuple(raw_participants)
-        known = {p.id for p in plants}
-        seen: set[str] = set()
-        for i, pid in enumerate(participants):
-            if not isinstance(pid, str):
-                raise ScenarioParseError(
-                    f"capacity.participants[{i}]: expected a plant id string, got {pid!r}"
-                )
-            if pid not in known:
-                raise ScenarioParseError(
-                    f"capacity.participants: unknown plant id {pid!r}"
-                )
-            if pid in seen:
-                raise ScenarioParseError(
-                    f"capacity.participants[{i}]: plant id {pid!r} is listed twice"
-                )
-            seen.add(pid)
+    elif isinstance(participants, list):
+        participants = tuple(participants)
     else:
         raise ScenarioParseError('capacity.participants: expected "auto" or a list')
     threshold = _number(cap.get("threshold", Fraction(1, 2)), "capacity.threshold")
-    if not (0 < threshold < 1):
-        raise InvalidNumberError("capacity.threshold: must lie in (0, 1)")
-    allow_overlap = cap.get("allow_overlap", False)
-    if not isinstance(allow_overlap, bool):
-        raise ScenarioParseError(
-            f"capacity.allow_overlap: expected true or false, got {allow_overlap!r}"
+    try:
+        capacity = CapacityConfig(
+            threshold, participants, cap.get("allow_overlap", False)
         )
-    capacity = CapacityConfig(threshold, participants, allow_overlap)
+    except ValueError as exc:  # its messages start with the field's name
+        raise ScenarioParseError(f"capacity.{exc}") from None
 
     measure_name = doc.get("measure", "hyperbolic")
     if not isinstance(measure_name, str):
         raise ScenarioParseError(f"measure: expected a measure name, got {measure_name!r}")
-    if measure_name not in BUILTIN_MEASURES:
-        raise UnknownMeasureError(f"measure: unknown measure {measure_name!r}")
-
     return Scenario(tuple(plants), config, capacity, measure_name)
 
 
@@ -237,8 +209,6 @@ def _scenario_from_csv(text: str) -> Scenario:
                 f"CSV plant table, line {reader.line_num}: more values than columns"
             )
         records.append(row)
-    if not records:
-        raise ScenarioParseError("CSV plant table has no rows")
     return _scenario_from_dict({"plants": records})
 
 

@@ -43,9 +43,9 @@ class TestSweep:
     def test_empty_scenario_rejected(self, toy):
         import dataclasses
 
-        empty = dataclasses.replace(toy, plants=())
-        with pytest.raises(ValueError):
-            sweep_p0(empty, [Fraction(10)])
+        # a scenario without plants cannot be built, so there is none to sweep
+        with pytest.raises(ValueError, match="at least one plant"):
+            dataclasses.replace(toy, plants=())
 
     def test_grid_must_be_ascending(self, toy):
         with pytest.raises(ValueError):

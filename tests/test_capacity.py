@@ -33,15 +33,17 @@ class TestEligibility:
 
     def test_high_threshold_empties_pool(self, toy, phis):
         # max phi on the toy grid is hydro's 50/51 = 0.98039 < 0.99
-        assert eligible_plants(toy.plants, phis, Fraction("0.99")) == []
+        config = CapacityConfig(threshold=Fraction("0.99"))
+        assert eligible_plants(toy.plants, phis, config) == []
 
     def test_threshold_is_strict(self, toy, phis):
-        hydro_phi = phis["hydro"]
-        assert "hydro" not in eligible_plants(toy.plants, phis, hydro_phi)
+        config = CapacityConfig(threshold=phis["hydro"])
+        assert "hydro" not in eligible_plants(toy.plants, phis, config)
 
-    def test_threshold_must_be_interior(self, toy, phis):
-        with pytest.raises(ValueError):
-            eligible_plants(toy.plants, phis, Fraction(1))
+    def test_threshold_must_be_interior(self):
+        for threshold in (0, 1, Fraction(-1, 2), 2):
+            with pytest.raises(ValueError, match=r"threshold: must lie in \(0, 1\)"):
+                CapacityConfig(threshold=threshold)
 
 
 class TestBuildPool:
@@ -71,8 +73,17 @@ class TestBuildPool:
             pool_of(toy, phis, ["nuclear"])
 
     def test_repeated_participant_rejected(self, toy, phis):
-        with pytest.raises(ValueError, match="hydro: listed twice"):
+        # CapacityConfig rejects the list before any pool is built
+        with pytest.raises(ValueError, match=r"participants\[1\]: .*'hydro' is listed twice"):
             pool_of(toy, phis, ["hydro", "hydro", "gas"])
+
+    def test_auto_pool_holds_each_id_once(self, toy, phis):
+        # a plant list that repeats an id (Scenario rejects one) still gives
+        # a pool that pays out exactly C_f
+        plants = toy.plants + (toy.plants[1],)  # hydro twice
+        pool = build_pool(plants, phis)
+        assert [pid for pid, _, _ in pool.participants] == ["hydro", "gas", "chp"]
+        assert sum(settle(pool, Fraction(100)).payments.values()) == 100
 
     def test_p_flex(self, toy, phis):
         pool = pool_of(toy, phis, ["hydro", "gas", "chp"])

@@ -39,10 +39,10 @@ capacity_mw = st.one_of(
 
 def oracle(scenario_path, cf_arg, allow_overlap, fmt, rounding):
     """(exit code, stdout) of the old capacity path."""
-    scenario = load_scenario(scenario_path)
-    result = clear_scenario(scenario)
-    cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
     try:
+        scenario = load_scenario(scenario_path)  # rejects an ineligible pinned plant
+        result = clear_scenario(scenario)
+        cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
         config = replace(
             scenario.capacity,
             allow_overlap=allow_overlap or scenario.capacity.allow_overlap,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.cli import main
+from flexmarket.flexibility import BUILTIN_MEASURES, hyperbolic_measure
 
 
 def run(capsys, *argv):
@@ -52,6 +54,35 @@ class TestValidate:
         code, out, err = run(capsys, "clear", str(path))
         assert (code, out) == (1, "")
         assert "market.demand" in err
+
+    @pytest.mark.parametrize("command", ["validate", "clear"])
+    def test_ineligible_pinned_participant_exit_1(self, capsys, tmp_path, toy_grid_path,
+                                                  command):
+        # both once accepted a file that `capacity` and `sweep` reject
+        path = write_doc(tmp_path / "pinned.json", toy_grid_path,
+                         capacity={"participants": ["nuclear"]})
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert "capacity.participants" in err and "nuclear" in err
+
+    def test_load_scores_only_pinned_plants(self, capsys, monkeypatch, toy_grid_path):
+        scored = []
+
+        def counting_measure():
+            measure = hyperbolic_measure()
+            return replace(measure, fn=lambda hours: scored.append(hours) or measure.fn(hours))
+
+        monkeypatch.setitem(BUILTIN_MEASURES, "hyperbolic", counting_measure)
+        pinned = str(toy_grid_path.parent / "toy-grid-pinned.json")
+        assert run(capsys, "validate", str(toy_grid_path))[0] == 0
+        assert scored == []  # an auto pool is scored where it is built
+        assert run(capsys, "validate", pinned)[0] == 0
+        assert len(scored) == 3  # hydro, gas and chp
+        scored.clear()
+        assert run(capsys, "capacity", pinned)[0] == 0
+        # the three pinned plants at load, then every plant with a finite
+        # start-up time once for the clearing
+        assert len(scored) == 3 + 7
 
     @pytest.mark.parametrize("literal", ["1e3000000", '"1e3000000"'])
     def test_huge_number_exit_1(self, capsys, tmp_path, toy_grid_path, literal):

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flexmarket.capacity import CapacityConfig
+from flexmarket.flexibility import StartUpTime
+from flexmarket.plants import PowerPlant
 from flexmarket.scenario import (
     DuplicatePlantIdError,
     InvalidNumberError,
@@ -18,6 +21,7 @@ from flexmarket.scenario import (
     load_scenario,
     toy_grid,
 )
+from flexmarket.spotmarket import MarketConfig
 
 TOY_GRID_DOC = json.loads(
     (Path(__file__).resolve().parent.parent / "scenarios" / "toy-grid.json").read_text()
@@ -275,6 +279,104 @@ class TestParserFuzz:
             path.write_text(text)
             try:
                 scenario = load_scenario(path)
-            except ScenarioError:
+            except ScenarioError as exc:
+                # every error names its section of the document, or the file
+                assert str(exc).startswith((*_SECTIONS, str(path))), str(exc)
                 return
         assert isinstance(scenario, Scenario)
+
+
+_SECTIONS = ("plants", "market", "capacity", "measure", "scenario document")
+
+
+# Values that break one scenario rule each, written over a valid document.
+_BREAKS = [
+    (("plants", 1, "id"), "p0"), (("plants", 1, "id"), ""),
+    (("plants", 1, "start_up_time_h"), -1),
+    (("plants", 1, "marginal_cost_eur_per_mwh"), "-1/2"),
+    (("plants", 1, "capacity_mw"), 0),
+    (("market", "p0_eur_per_mwh"), -1), (("market", "demand_mw"), "-0.5"),
+    (("market", "period_h"), 0),
+    (("capacity", "threshold"), 0), (("capacity", "threshold"), 1),
+    (("capacity", "participants"), ["p0", "p0"]),
+    (("capacity", "participants"), ["ghost"]),
+    (("measure",), "cubic"), (("plants",), []),
+]
+
+
+@st.composite
+def documents(draw):
+    """Scenario documents, about half of them with one or two rules broken:
+    repeated or empty ids, negative numbers, a zero capacity or period,
+    thresholds of 0 and 1, an unknown measure, no plants, and pinned lists
+    with unknown or repeated ids. A pinned plant is ineligible whenever its
+    start-up time is too long for the threshold."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    ids = [f"p{i}" for i in range(n)]
+    doc = {
+        "plants": [
+            {
+                "id": pid,
+                "start_up_time_h": draw(st.sampled_from(["inf", 0, "1/2", 1, 3])),
+                "marginal_cost_eur_per_mwh": draw(st.sampled_from([0, 10, "2.5"])),
+                "capacity_mw": draw(st.sampled_from([5, "1/3"])),
+            }
+            for pid in ids
+        ],
+        "market": {"p0_eur_per_mwh": draw(st.sampled_from([0, 10])),
+                   "demand_mw": draw(st.sampled_from([0, 7])),
+                   "period_h": draw(st.sampled_from([1, "1/4"]))},
+        "capacity": {
+            "threshold": draw(st.sampled_from(["1/4", "1/2", "2/3"])),
+            "participants": draw(
+                st.just("auto") | st.lists(st.sampled_from(ids), unique=True)
+            ),
+            "allow_overlap": draw(st.booleans()),
+        },
+        "measure": "hyperbolic",
+    }
+    if draw(st.booleans()):
+        for path, value in draw(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=2)):
+            _mutate(doc, path, value)
+    return doc
+
+
+def scenario_in_python(doc):
+    """The `Scenario` a document describes, built with the constructors."""
+    plants = tuple(
+        PowerPlant(
+            p["id"],
+            StartUpTime.unbounded() if p["start_up_time_h"] == "inf"
+            else StartUpTime(Fraction(p["start_up_time_h"])),
+            Fraction(p["marginal_cost_eur_per_mwh"]),
+            Fraction(p["capacity_mw"]),
+        )
+        for p in doc["plants"]
+    )
+    market = MarketConfig(*(Fraction(doc["market"][key]) for key in
+                            ("p0_eur_per_mwh", "demand_mw", "period_h")))
+    cap = doc["capacity"]
+    participants = cap["participants"]
+    capacity = CapacityConfig(
+        Fraction(cap["threshold"]),
+        None if participants == "auto" else tuple(participants),
+        cap["allow_overlap"],
+    )
+    return Scenario(plants, market, capacity, doc["measure"])
+
+
+class TestFileAndPythonAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(documents())
+    def test_file_rejected_exactly_when_python_rejects(self, doc):
+        try:
+            built = scenario_in_python(doc)
+        except ValueError:
+            built = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "s.json", doc)
+            try:
+                loaded = load_scenario(path)
+            except ScenarioError:
+                loaded = None
+        assert loaded == built
