@@ -1,7 +1,7 @@
 """Electricity spot-market simulator with operational-inflexibility fees
 funding capacity-reserve reliability payments."""
 
-from .analysis import SweepPoint, SweepResult, clear_scenario, sweep_p0
+from .analysis import SweepPoint, SweepResult, SweepRun, clear_scenario, sweep_p0
 from .capacity import (
     CapacityConfig,
     CapacityPool,

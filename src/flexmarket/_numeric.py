@@ -172,9 +172,7 @@ def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:
     """Round to `ndigits` decimal places, ties going away from zero."""
     scale = 10**ndigits
     q = Fraction(x) * scale
-    n, d = q.numerator, q.denominator
-    sign = -1 if n < 0 else 1
-    return Fraction(sign * ((2 * abs(n) + d) // (2 * d)), scale)
+    return Fraction(ratio_number(q.numerator, q.denominator, rounded=True), scale)
 
 
 def to_float(x: Fraction) -> float:
@@ -188,8 +186,24 @@ def to_float(x: Fraction) -> float:
         ) from None
 
 
+def ratio_number(n: int, d: int, rounded: bool = False) -> int | float:
+    """n/d for ints n and d > 0, as a report writes it, whether reduced or not.
+
+    Rounded: the nearest int, ties away from zero. Otherwise the int when d
+    divides n, else the nearest float (int true division rounds correctly,
+    as `to_float` does), and to_float's ValueError beyond the float range.
+    """
+    if rounded:
+        q = (2 * abs(n) + d) // (2 * d)
+        return -q if n < 0 else q
+    if n % d == 0:
+        return n // d
+    try:
+        return n / d
+    except OverflowError:
+        return to_float(Fraction(n, d))  # raises, naming the reduced value
+
+
 def to_number(x: Fraction) -> int | float:
     """Render a Fraction as an int when integral, else a float."""
-    if x.denominator == 1:
-        return x.numerator
-    return to_float(x)
+    return ratio_number(x.numerator, x.denominator)

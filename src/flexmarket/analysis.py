@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._numeric import frac, sorted_exact
 from .capacity import is_paradox, reserve_candidates, reserve_members
@@ -21,6 +22,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "SweepPoint",
     "SweepResult",
+    "SweepRun",
     "clear_scenario",
     "p0_range",
     "sweep_p0",
@@ -42,10 +44,65 @@ class SweepPoint:
     paradox: bool
 
 
+class SweepRun(NamedTuple):
+    """The grid points from index `start` up to the next run's start, which
+    share one merit order. Their dispatch is fixed, so the clearing price is
+    price_base + price_slope·p0 and C_f is fee_slope·p0.
+
+    A NamedTuple, not a frozen dataclass: its class is built about 1 ms
+    faster, which every CLI call pays at import."""
+
+    start: int
+    merit_order: tuple[str, ...]
+    dispatched: frozenset[str]
+    reserve: frozenset[str]  # the pool `capacity` would build in this run
+    price_base: Fraction
+    price_slope: Fraction
+    fee_slope: Fraction
+
+    @property
+    def depletes(self) -> bool:
+        """Whether each point of the run with p0 > 0 is a paradox: C_f > 0
+        there exactly when fee_slope > 0 (`capacity.is_paradox`)."""
+        return is_paradox(self.reserve, self.fee_slope)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SweepPoint, ...]
-    change_points: tuple[Fraction, ...]
+    """A sweep's ascending grid and its runs, in grid order. The points and
+    the change points are derived from them."""
+
+    grid: tuple[Fraction, ...]
+    runs: tuple[SweepRun, ...]
+
+    def pieces(self) -> Iterator[tuple[SweepRun, tuple[Fraction, ...]]]:
+        """Each run with its grid points."""
+        ends = [run.start for run in self.runs[1:]] + [len(self.grid)]
+        for run, end in zip(self.runs, ends):
+            yield run, self.grid[run.start:end]
+
+    @property
+    def change_points(self) -> tuple[Fraction, ...]:
+        """The p0 of each point whose merit order differs from the point before."""
+        return tuple(self.grid[run.start] for run in self.runs[1:])
+
+    @property
+    def has_paradox(self) -> bool:
+        """Whether some point is a paradox: a depleting run holds a p0 > 0."""
+        return any(run.depletes and p0s[-1] > 0 for run, p0s in self.pieces())
+
+    @cached_property
+    def points(self) -> tuple[SweepPoint, ...]:
+        """One SweepPoint per grid point, built on first use."""
+        points = []
+        for run, p0s in self.pieces():
+            for p0 in p0s:
+                cf = run.fee_slope * p0
+                points.append(SweepPoint(
+                    p0, run.price_base + run.price_slope * p0, run.merit_order,
+                    run.dispatched, cf, run.reserve, is_paradox(run.reserve, cf),
+                ))
+        return tuple(points)
 
 
 def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingResult:
@@ -82,28 +139,33 @@ def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
 
 
 def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
-    """Clear the scenario at every grid point, flagging merit-order changes.
+    """Clear the scenario at every grid point, as runs of one merit order.
 
-    Each point gives the same result as `clear_scenario` at that p0; the
-    output is ordered by p0. Scoring, eligibility and an integer scaling of
-    the plants are done once per scenario. Every offer mc_i + (1 - phi_i)·p0
-    is linear in p0: with one common denominator D over all mc_i and
-    1 - phi_i, the offers at p0 = a/b are (M_i·b + F_i·a) / (D·b) for the
-    integers M_i = mc_i·D and F_i = (1 - phi_i)·D, so each point re-sorts
-    plain int keys. The dispatch depends on the merit order only, so the
-    fill (the one `clear` uses), the dispatched set, the reserve and the
-    fee sum are computed once per distinct order; each point builds only
-    its price and C_f as Fractions.
+    Each point gives the same result as `clear_scenario` at that p0. Scoring,
+    eligibility and an integer scaling of the plants are done once per
+    scenario. Every offer mc_i + (1 - phi_i)·p0 is linear in p0: with one
+    common denominator D over all mc_i and 1 - phi_i, the offers at p0 = a/b
+    are (M_i·b + F_i·a) / (D·b) for the integers M_i = mc_i·D and
+    F_i = (1 - phi_i)·D, so each point re-sorts plain int keys. The dispatch
+    depends on the merit order only, so each distinct order starts a
+    `SweepRun`: the fill (the one `clear` uses), the dispatched set, the
+    reserve and the fee sum are computed once for it, and so are the exact
+    coefficients of its price and C_f, affine in p0. No point is built here:
+    `emit_sweep` writes each point from those integers, and
+    `SweepResult.points` builds the Fractions when read.
 
     The reserve and `paradox` are what `capacity` would report at that p0;
-    where it would reject the pool, this raises ValueError naming the p0.
+    where it would reject the pool, this raises ValueError naming the first
+    p0 of the run.
     """
-    grid = [frac(p) for p in p0_grid]
+    grid = tuple(frac(p) for p in p0_grid)
     if not grid:
         raise ValueError("p0 grid must not be empty")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
+    nums = [p.numerator for p in grid]
+    dens = [p.denominator for p in grid]
+    if any(a * d >= c * b for a, b, c, d in zip(nums, dens, nums[1:], dens[1:])):
         raise ValueError("p0 grid must be strictly ascending")
-    if grid[0] < 0:
+    if nums[0] < 0:
         raise ValueError("p0 grid must be non-negative")
 
     plants = scenario.plants
@@ -128,45 +190,32 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     for r, i in enumerate(tie_order):
         rank[i] = r
 
-    points = []
-    change_points = []
+    runs = []
     order = list(range(n))
     previous: list[int] | None = None
-    for p0 in grid:
-        a, b = p0.numerator, p0.denominator
+    for start, (a, b) in enumerate(zip(nums, dens)):
         keys = [(m * b + f * a) * n + r for m, f, r in zip(mc_num, fee_num, rank)]
         # the previous point's order is nearly sorted, which timsort exploits
         order = sorted(order, key=keys.__getitem__)
-        if order != previous:
-            if previous is not None:
-                change_points.append(p0)
-            previous = order
-            merit = tuple(ids[i] for i in order)
-            # capacities and demand are ints over e, so the fill's den is 1
-            count, rest, _ = _fill(map(cap.__getitem__, order), q)
-            dispatched = frozenset(merit[:count])
-            try:
-                members = reserve_members(candidates, scenario.capacity, dispatched)
-            except ValueError as exc:
-                raise ValueError(f"p0 = {p0}: {exc}") from None
-            reserve = frozenset(pid for pid, _, _ in members)
-            fees = sum(map(fee_cap.__getitem__, order[:count]))
-            mc_m = fee_m = 0  # nothing dispatched: price and C_f are 0
-            if count:
-                marginal = order[count - 1]
-                mc_m, fee_m = mc_num[marginal], fee_num[marginal]
-                fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
-        cf = Fraction(a * fees, b * d * e)
-        points.append(
-            SweepPoint(
-                p0=p0,
-                clearing_price=Fraction(mc_m * b + fee_m * a, d * b),
-                merit_order=merit,
-                dispatched=dispatched,
-                total_fee_cf=cf,
-                reserve=reserve,
-                paradox=is_paradox(reserve, cf),
-            )
-        )
-    return SweepResult(tuple(points), tuple(change_points))
-
+        if order == previous:
+            continue
+        previous = order
+        merit = tuple(ids[i] for i in order)
+        # capacities and demand are ints over e, so the fill's den is 1
+        count, rest, _ = _fill(map(cap.__getitem__, order), q)
+        dispatched = frozenset(merit[:count])
+        try:
+            members = reserve_members(candidates, scenario.capacity, dispatched)
+        except ValueError as exc:
+            raise ValueError(f"p0 = {grid[start]}: {exc}") from None
+        fees = sum(map(fee_cap.__getitem__, order[:count]))
+        mc_m = fee_m = 0  # nothing dispatched: price and C_f are 0
+        if count:
+            marginal = order[count - 1]
+            mc_m, fee_m = mc_num[marginal], fee_num[marginal]
+            fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
+        runs.append(SweepRun(
+            start, merit, dispatched, frozenset(pid for pid, _, _ in members),
+            Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e),
+        ))
+    return SweepResult(grid, tuple(runs))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Container, Iterable, Mapping, Sequence
 
-from ._numeric import frac, sorted_exact
+from ._numeric import exact_sum, frac, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
@@ -76,7 +76,7 @@ class CapacityPool:
     @property
     def p_flex(self) -> Fraction:
         """Flexibility-weighted total capacity, sum of phi_j * P_j."""
-        return sum((phi * cap for _, phi, cap in self.participants), Fraction(0))
+        return exact_sum(phi * cap for _, phi, cap in self.participants)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     sweep = sweep_p0(scenario, _parse_grid(args.p0_grid))
     _write(emit_sweep(sweep, args.format, args.rounding), args.output)
-    if args.fail_on_paradox and any(pt.paradox for pt in sweep.points):
+    if args.fail_on_paradox and sweep.has_paradox:
         print("paradox: capacity reserve depleted at some sweep points",
               file=sys.stderr)
         return EXIT_PARADOX

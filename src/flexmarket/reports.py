@@ -12,9 +12,9 @@ import io
 import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Iterable
+from math import lcm
 
-from ._numeric import round_half_away, sorted_exact, to_float, to_number
+from ._numeric import exact_sum, ratio_number, sorted_exact, to_float, to_number
 from .analysis import SweepResult
 from .capacity import CapacitySettlement
 from .spotmarket import ClearingResult, total_fee
@@ -38,9 +38,7 @@ def _check(format: str, rounding_mode: str) -> None:
 
 
 def _disp(x: Fraction, mode: str) -> int | float:
-    if mode == "paper-rounded":
-        return int(round_half_away(x))
-    return to_number(x)
+    return ratio_number(x.numerator, x.denominator, mode == "paper-rounded")
 
 
 def _clearing_rows(result: ClearingResult, mode: str) -> list[dict]:
@@ -79,7 +77,7 @@ def _clearing_summary(result: ClearingResult, mode: str) -> dict:
 
 
 def _table(headers: list[str], rows: list[list[object]]) -> bytes:
-    cells = [[str(c) for c in row] for row in rows]
+    cells = [list(map(str, row)) for row in rows]
     widths = [
         max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
         for i, h in enumerate(headers)
@@ -96,7 +94,7 @@ def _csv(headers: list[str], rows: list[list[object]]) -> bytes:
     out = io.StringIO()
     out.write(",".join(headers) + "\n")
     for row in rows:
-        out.write(",".join(str(c) for c in row) + "\n")
+        out.write(",".join(map(str, row)) + "\n")
     return out.getvalue().encode("utf-8")
 
 
@@ -194,7 +192,7 @@ def _svg_stack(result: ClearingResult) -> bytes:
     clearing_price = to_float(result.clearing_price)
     max_price = max([to_float(o.offer_price) for o in result.offers]
                     + [clearing_price, 1.0])
-    demand_mw = to_float(sum(result.dispatch.values(), Fraction(0)))
+    demand_mw = to_float(exact_sum(result.dispatch.values()))
 
     def x(mw: float) -> float:
         return margin + plot_w * mw / total_mw
@@ -263,30 +261,30 @@ def emit_sweep(
         "p0", "clearing_price", "merit_order", "dispatched",
         "total_fee_cf", "reserve", "paradox",
     ]
-    # sweep_p0 shares the order and the sets between points while they are
-    # unchanged, so each distinct object is joined once; the points hold
-    # every object alive, which keeps the ids unique meanwhile
-    joined: dict[int, str] = {}
-
-    def join(names: Iterable[str], sort: bool) -> str:
-        text = joined.get(id(names))
-        if text is None:
-            text = joined[id(names)] = "|".join(sorted(names) if sort else names)
-        return text
-
+    rounded = rounding_mode == "paper-rounded"
     rows = []
-    for pt in sweep.points:
-        rows.append(
-            [
-                to_number(pt.p0),
-                _disp(pt.clearing_price, rounding_mode),
-                join(pt.merit_order, sort=False),
-                join(pt.dispatched, sort=True),
-                _disp(pt.total_fee_cf, rounding_mode),
-                join(pt.reserve, sort=True),
-                pt.paradox,
-            ]
-        )
+    for run, p0s in sweep.pieces():
+        order = "|".join(run.merit_order)
+        dispatched = "|".join(sorted(run.dispatched))
+        reserve = "|".join(sorted(run.reserve))
+        depletes = run.depletes
+        # at p0 = a/b the price is (u·b + s·a)/(v·b) and C_f is (w·a)/(z·b)
+        base, slope = run.price_base, run.price_slope
+        v = lcm(base.denominator, slope.denominator)
+        u = base.numerator * (v // base.denominator)
+        s = slope.numerator * (v // slope.denominator)
+        w, z = run.fee_slope.numerator, run.fee_slope.denominator
+        for p0 in p0s:
+            a, b = p0.numerator, p0.denominator
+            rows.append([
+                ratio_number(a, b),
+                ratio_number(u * b + s * a, v * b, rounded),
+                order,
+                dispatched,
+                ratio_number(w * a, z * b, rounded),
+                reserve,
+                depletes and a > 0,
+            ])
     if format == "json":
         doc = {
             "points": [dict(zip(headers, row)) for row in rows],

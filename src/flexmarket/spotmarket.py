@@ -232,4 +232,4 @@ def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
 
 def market_wide_fee_intensity(offers: Sequence[Offer]) -> Fraction:
     """Sum of fee rates over all offering plants (EUR/MWh), dispatch-independent."""
-    return sum((o.fee_rate for o in offers), Fraction(0))
+    return exact_sum(o.fee_rate for o in offers)

@@ -1,5 +1,6 @@
-"""Differential test: the integer-key sweep against per-point clearings and
-the capacity path's reserve and paradox at each point."""
+"""Differential test: the integer-key sweep, read back as points and change
+points, against per-point clearings and the capacity path's reserve and
+paradox at each point; and its grid check against Fraction comparisons."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.analysis import SweepPoint, SweepResult, clear_scenario, sweep_p0
+from flexmarket.analysis import SweepPoint, clear_scenario, sweep_p0
 from flexmarket.capacity import (
     CapacityConfig,
     UnallocatableFeeError,
@@ -16,7 +17,7 @@ from flexmarket.capacity import (
 )
 from flexmarket.flexibility import StartUpTime, hyperbolic_measure
 from flexmarket.plants import PowerPlant, flexibilities_for
-from flexmarket.scenario import Scenario
+from flexmarket.scenario import Scenario, toy_grid
 from flexmarket.spotmarket import MarketConfig
 
 RUNS = settings(max_examples=200, deadline=None)
@@ -39,8 +40,8 @@ capacity_mw = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominat
 def brute_force_sweep(scenario, grid):
     """The reference: one full clearing per grid point, with the reserve and
     the paradox that the capacity path (`build_pool` + `settle` on the
-    clearing's C_f) gives there. Where that path rejects the pool, raise its
-    ValueError, naming the p0."""
+    clearing's C_f) gives there, as (points, change points). Where that path
+    rejects the pool, raise its ValueError, naming the p0."""
     phi = scenario.flexibilities()
     points = []
     change_points = []
@@ -70,7 +71,7 @@ def brute_force_sweep(scenario, grid):
         if previous_order is not None and result.merit_order != previous_order:
             change_points.append(p0)
         previous_order = result.merit_order
-    return SweepResult(tuple(points), tuple(change_points))
+    return tuple(points), tuple(change_points)
 
 
 @st.composite
@@ -120,19 +121,55 @@ grids = st.lists(
 ).map(sorted)
 
 
+def assert_matches_brute_force(scenario, grid):
+    sweep = sweep_p0(scenario, grid)
+    points, change_points = brute_force_sweep(scenario, grid)
+    assert sweep.points == points
+    assert sweep.change_points == change_points
+
+
 class TestSweepMatchesPerPointClearing:
     @RUNS
     @given(scenarios(), grids)
     def test_points_and_change_points_equal(self, scenario, grid):
         try:
-            expected = brute_force_sweep(scenario, grid)
+            brute_force_sweep(scenario, grid)
         except ValueError as exc:  # capacity would exit 1 at some grid point
             with pytest.raises(ValueError) as raised:
                 sweep_p0(scenario, grid)
             assert str(raised.value) == str(exc)
             return
-        assert sweep_p0(scenario, grid) == expected
+        assert_matches_brute_force(scenario, grid)
 
     def test_toy_grid_fine(self, toy):
-        grid = [Fraction(i, 4) for i in range(0, 321)]
-        assert sweep_p0(toy, grid) == brute_force_sweep(toy, grid)
+        assert_matches_brute_force(toy, [Fraction(i, 4) for i in range(0, 321)])
+
+
+@st.composite
+def near_grids(draw):
+    """Non-negative grids, half of them strictly ascending, with repeats,
+    descending pairs and neighbours within 1/10**k of each other over
+    distinct denominators."""
+    grid = []
+    for x in draw(st.lists(st.fractions(min_value=0, max_value=100,
+                                        max_denominator=50), min_size=1, max_size=8)):
+        grid.append(x)
+        eps = Fraction(1, draw(st.integers(min_value=2, max_value=10**30)))
+        grid.extend(draw(st.sampled_from([[], [x], [x + eps], [x + eps, x]])))
+    if draw(st.booleans()):
+        grid = sorted(set(grid))
+    return grid
+
+
+TOY = toy_grid(10, 25)
+
+
+class TestGridCheck:
+    @RUNS
+    @given(near_grids())
+    def test_raises_iff_not_strictly_ascending(self, grid):
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                sweep_p0(TOY, grid)
+        else:
+            assert sweep_p0(TOY, grid).grid == tuple(grid)
