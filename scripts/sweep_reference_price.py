@@ -28,10 +28,14 @@ def main() -> None:
     sweep = sweep_p0(scenario, grid)
 
     (out / "sweep.csv").write_bytes(emit_sweep(sweep, "csv"))
-    print(f"wrote {out / 'sweep.csv'} ({len(sweep.points)} points)")
+    print(f"wrote {out / 'sweep.csv'} ({len(sweep.grid)} points)")
     print("merit-order change points:",
           [str(p) for p in sweep.change_points] or "none")
-    paradox_onset = next((pt.p0 for pt in sweep.points if pt.paradox), None)
+    # a depleting run is a paradox at each of its points with p0 > 0
+    paradox_onset = next(
+        (p0 for run, p0s in sweep.pieces() if run.depletes for p0 in p0s if p0 > 0),
+        None,
+    )
     print("reserve depleted from p0 =", paradox_onset)
 
     for p0 in (grid[0], *sweep.change_points):

@@ -138,6 +138,45 @@ def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     return [Fraction(start + i * stride, den) for i in range(count)]
 
 
+def _order_at(order: list[int], terms: list[tuple[int, int, int]],
+              a: int, b: int) -> list[int]:
+    """`order` sorted on the int keys M_i·N·b + F_i·N·a + r_i, the offers at
+    p0 = a/b with the tie rank below them, from `terms` (M_i·N, F_i·N, r_i).
+    The keys are distinct, so the result does not depend on `order`; a
+    nearly sorted one is faster for timsort."""
+    keys = [m * b + f * a + r for m, f, r in terms]
+    return sorted(order, key=keys.__getitem__)
+
+
+def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
+             nums: list[int], dens: list[int]) -> tuple[int, list[int] | None]:
+    """The grid index where the run of `order` beginning at `start` ends, and
+    the merit order there (None if the run reaches the grid's end).
+
+    Each key difference between two plants is linear in p0, so the points
+    where `order` holds form an interval from `start`. Probe start+1,
+    start+2, start+4, ... until the order fails (or the grid ends), then
+    bisect: a run of L points costs at most 2⌈log₂ L⌉ + 1 sorts."""
+    grid_len = len(nums)
+    # order holds at lo; once the gallop stops, it fails at hi (or hi is the
+    # grid's end), and bisection keeps it so
+    lo, hi, after = start, start + 1, None
+    while hi < grid_len:
+        probe = _order_at(order, terms, nums[hi], dens[hi])
+        if probe != order:
+            after = probe
+            break
+        lo, hi = hi, min(2 * hi - start, grid_len)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = _order_at(order, terms, nums[mid], dens[mid])
+        if probe == order:
+            lo = mid
+        else:
+            hi, after = mid, probe
+    return hi, after
+
+
 def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     """Clear the scenario at every grid point, as runs of one merit order.
 
@@ -146,13 +185,17 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     scenario. Every offer mc_i + (1 - phi_i)·p0 is linear in p0: with one
     common denominator D over all mc_i and 1 - phi_i, the offers at p0 = a/b
     are (M_i·b + F_i·a) / (D·b) for the integers M_i = mc_i·D and
-    F_i = (1 - phi_i)·D, so each point re-sorts plain int keys. The dispatch
-    depends on the merit order only, so each distinct order starts a
-    `SweepRun`: the fill (the one `clear` uses), the dispatched set, the
-    reserve and the fee sum are computed once for it, and so are the exact
-    coefficients of its price and C_f, affine in p0. No point is built here:
-    `emit_sweep` writes each point from those integers, and
-    `SweepResult.points` builds the Fractions when read.
+    F_i = (1 - phi_i)·D, and a merit order is a sort of plain int keys. Two
+    offers' difference is linear in p0, so one order holds on an interval of
+    the grid: from the start of each run, a galloping search (`_run_end`)
+    finds where it ends with at most 2⌈log₂ L⌉ + 1 sorts for a run of L
+    points, one for a one-point run. The dispatch depends on the merit order
+    only, so each distinct order starts a `SweepRun`: the fill (the one
+    `clear` uses), the dispatched set, the reserve and the fee sum are
+    computed once for it, and so are the exact coefficients of its price and
+    C_f, affine in p0. No point is built here: `emit_sweep` writes each point
+    from those integers, and `SweepResult.points` builds the Fractions when
+    read.
 
     The reserve and `paradox` are what `capacity` would report at that p0;
     where it would reject the pool, this raises ValueError naming the first
@@ -189,17 +232,11 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     tie_order = sorted_exact(range(n), lambda i: -phi[ids[i]], ids.__getitem__)
     for r, i in enumerate(tie_order):
         rank[i] = r
+    terms = [(m * n, f * n, r) for m, f, r in zip(mc_num, fee_num, rank)]
 
     runs = []
-    order = list(range(n))
-    previous: list[int] | None = None
-    for start, (a, b) in enumerate(zip(nums, dens)):
-        keys = [(m * b + f * a) * n + r for m, f, r in zip(mc_num, fee_num, rank)]
-        # the previous point's order is nearly sorted, which timsort exploits
-        order = sorted(order, key=keys.__getitem__)
-        if order == previous:
-            continue
-        previous = order
+    start, order = 0, _order_at(list(range(n)), terms, nums[0], dens[0])
+    while order is not None:
         merit = tuple(ids[i] for i in order)
         # capacities and demand are ints over e, so the fill's den is 1
         count, rest, _ = _fill(map(cap.__getitem__, order), q)
@@ -218,4 +255,5 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
             start, merit, dispatched, frozenset(pid for pid, _, _ in members),
             Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e),
         ))
+        start, order = _run_end(order, start, terms, nums, dens)
     return SweepResult(grid, tuple(runs))

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
 from .capacity import CapacityConfig, reserve_candidates
@@ -105,10 +106,37 @@ _MARKET_KEYS = frozenset({"p0_eur_per_mwh", "demand_mw", "period_h"})
 _CAPACITY_KEYS = frozenset({"threshold", "participants", "allow_overlap"})
 
 
+class _DuplicateKeyObject(dict):
+    """A JSON object that named `duplicate` more than once; the parser
+    rejects it once it knows the object's path."""
+
+    duplicate: str
+
+
+def _first_duplicate(keys: Iterable[str]) -> str | None:
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    record = dict(pairs)
+    if len(record) == len(pairs):
+        return record
+    record = _DuplicateKeyObject(record)
+    record.duplicate = _first_duplicate(key for key, _ in pairs)
+    return record
+
+
 def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
+    prefix = f"{path}." if path else ""
+    if isinstance(record, _DuplicateKeyObject):
+        raise ScenarioParseError(f"{prefix}{record.duplicate}: duplicate key")
     if not allowed.issuperset(record):
         unknown = sorted(str(key) for key in record if key not in allowed)
-        prefix = f"{path}." if path else ""
         raise ScenarioParseError(
             f"{prefix}{unknown[0]}: unknown key (expected one of "
             f"{', '.join(sorted(allowed))})"
@@ -197,6 +225,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
 def _scenario_from_csv(text: str) -> Scenario:
     """Convenience plant-table format: one row per plant, market defaults."""
     reader = csv.DictReader(io.StringIO(text))
+    duplicate = _first_duplicate(reader.fieldnames or ())
+    if duplicate is not None:
+        raise ScenarioParseError(f"CSV plant table: {duplicate}: duplicate column")
     if reader.fieldnames is None or set(reader.fieldnames) != _PLANT_KEYS:
         raise ScenarioParseError(
             f"CSV plant table must have exactly the columns {sorted(_PLANT_KEYS)}, "
@@ -226,7 +257,8 @@ def load_scenario(path: str | Path) -> Scenario:
     if path.suffix.lower() == ".csv":
         return _scenario_from_csv(text)
     try:
-        doc = json.loads(text, parse_float=parse_number, parse_int=_json_int)
+        doc = json.loads(text, object_pairs_hook=_json_object,
+                         parse_float=parse_number, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON: {exc}") from None
     except ValueError as exc:  # a number beyond parse_number's bounds

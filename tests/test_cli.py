@@ -84,6 +84,16 @@ class TestValidate:
         # start-up time once for the clearing
         assert len(scored) == 3 + 7
 
+    def test_duplicate_key_exit_1(self, capsys, tmp_path, toy_grid_path):
+        # once validated as the later 500 MW and exited 0
+        text = toy_grid_path.read_text().replace(
+            '"demand_mw": 25', '"demand_mw": 5, "demand_mw": 500')
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert "market.demand_mw: duplicate key" in err
+
     @pytest.mark.parametrize("literal", ["1e3000000", '"1e3000000"'])
     def test_huge_number_exit_1(self, capsys, tmp_path, toy_grid_path, literal):
         text = toy_grid_path.read_text().replace('"demand_mw": 25', f'"demand_mw": {literal}')

@@ -154,6 +154,21 @@ class TestLoadScenario:
         with pytest.raises(ScenarioParseError, match=re.escape(path)):
             load_scenario(write(tmp_path, "k.json", doc))
 
+    @pytest.mark.parametrize(
+        "old, new, path",
+        [
+            ('"demand_mw": 7', '"demand_mw": 5, "demand_mw": 500', "market.demand_mw"),
+            ('"capacity_mw": 5}', '"capacity_mw": 5, "capacity_mw": 50}',
+             "plants[0].capacity_mw"),
+            ('"plants"', '"market": {}, "plants"', "market"),
+        ],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, old, new, path):
+        # json.loads keeps the last of two equal keys: a quiet wrong answer
+        text = json.dumps(minimal_doc()).replace(old, new, 1)
+        with pytest.raises(ScenarioParseError, match=rf"^{re.escape(path)}: duplicate key$"):
+            load_scenario(write(tmp_path, "dup.json", text))
+
     @pytest.mark.parametrize("literal", ["1e3000000", '"1e3000000"'])
     def test_huge_exponent_rejected_quickly(self, tmp_path, literal):
         text = json.dumps(minimal_doc()).replace('"demand_mw": 7', f'"demand_mw": {literal}')
@@ -195,6 +210,15 @@ class TestLoadScenario:
         )
         with pytest.raises(ScenarioParseError, match="demand_mw"):
             load_scenario(write(tmp_path, "extra.csv", csv_text))
+
+    def test_csv_duplicate_column_rejected(self, tmp_path):
+        # DictReader keeps the later of two equal columns
+        csv_text = (
+            "id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw,capacity_mw\n"
+            "fast,0.1,30,5,500\n"
+        )
+        with pytest.raises(ScenarioParseError, match="capacity_mw: duplicate column"):
+            load_scenario(write(tmp_path, "dup.csv", csv_text))
 
     def test_csv_row_longer_than_header(self, tmp_path):
         csv_text = (

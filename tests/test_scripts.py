@@ -31,6 +31,8 @@ def test_sweep_reference_price(tmp_path):
     # the script sweeps the toy grid over 0:80:1, as the stored CLI output does
     golden = ROOT / "tests" / "golden" / "sweep-0-80-1.csv.exact.out"
     assert (out / "sweep.csv").read_bytes() == golden.read_bytes()
+    assert "(81 points)" in done.stdout
+    assert "reserve depleted from p0 = 64\n" in done.stdout
     svgs = sorted(p.name for p in out.glob("*.svg"))
     assert svgs == [f"stack_p0_{p0}.svg" for p0 in (0, 14, 40, 54, 56, 58, 64)]
     assert all((out / name).read_bytes().startswith(b"<svg") for name in svgs)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.analysis import SweepPoint, clear_scenario, sweep_p0
+from flexmarket import analysis
+from flexmarket.analysis import SweepPoint, clear_scenario, p0_range, sweep_p0
 from flexmarket.capacity import (
     CapacityConfig,
     UnallocatableFeeError,
@@ -121,6 +122,29 @@ grids = st.lists(
 ).map(sorted)
 
 
+@st.composite
+def scenarios_with_long_grids(draw):
+    """A scenario and an arithmetic grid lo + i·step of 50-400 points. If
+    two offers cross at some p0 > 0, the grid puts one such crossing at a
+    drawn index, so a run of any length ends there: the galloping search
+    doubles about log2 L times for a run of L points, then bisects."""
+    scenario = draw(scenarios())
+    step = draw(st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100))
+    count = draw(st.integers(min_value=50, max_value=400))
+    phi = scenario.flexibilities()
+    # offers mc + (1 - phi)·p0 of two plants are equal at this p0
+    crossings = sorted(x for x in {
+        (q.marginal_cost - p.marginal_cost) / (phi[q.id] - phi[p.id])
+        for p in scenario.plants for q in scenario.plants if phi[p.id] != phi[q.id]
+    } if x > 0)
+    if crossings:
+        at = draw(st.sampled_from(crossings))
+        lo = max(at - draw(st.integers(min_value=0, max_value=count - 1)) * step, 0)
+    else:
+        lo = draw(st.fractions(min_value=0, max_value=40, max_denominator=4))
+    return scenario, [lo + i * step for i in range(count)]
+
+
 def assert_matches_brute_force(scenario, grid):
     sweep = sweep_p0(scenario, grid)
     points, change_points = brute_force_sweep(scenario, grid)
@@ -128,21 +152,88 @@ def assert_matches_brute_force(scenario, grid):
     assert sweep.change_points == change_points
 
 
+def assert_same_result_or_error(scenario, grid):
+    try:
+        brute_force_sweep(scenario, grid)
+    except ValueError as exc:  # capacity would exit 1 at some grid point
+        with pytest.raises(ValueError) as raised:
+            sweep_p0(scenario, grid)
+        assert str(raised.value) == str(exc)
+        return
+    assert_matches_brute_force(scenario, grid)
+
+
+# The toy grid's merit order changes at these points of the 0:80:1/100 grid.
+TOY_CHANGE_POINTS = [Fraction(x) for x in ("13.26", "40", "53.89", "55.09",
+                                             "57.33", "63.07")]
+
+
 class TestSweepMatchesPerPointClearing:
     @RUNS
     @given(scenarios(), grids)
     def test_points_and_change_points_equal(self, scenario, grid):
-        try:
-            brute_force_sweep(scenario, grid)
-        except ValueError as exc:  # capacity would exit 1 at some grid point
-            with pytest.raises(ValueError) as raised:
-                sweep_p0(scenario, grid)
-            assert str(raised.value) == str(exc)
-            return
-        assert_matches_brute_force(scenario, grid)
+        assert_same_result_or_error(scenario, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios_with_long_grids())
+    def test_long_runs(self, case):
+        assert_same_result_or_error(*case)
 
     def test_toy_grid_fine(self, toy):
         assert_matches_brute_force(toy, [Fraction(i, 4) for i in range(0, 321)])
+
+    @pytest.mark.parametrize("p0", [Fraction(0), Fraction(13), Fraction(1325, 100), Fraction(80)])
+    def test_one_point_grid(self, toy, p0):
+        assert len(sweep_p0(toy, [p0]).runs) == 1
+        assert_matches_brute_force(toy, [p0])
+
+    @pytest.mark.parametrize("hi, starts", [("13.25", [0]), ("13.26", [0, 1326])])
+    def test_run_ends_at_the_last_point(self, toy, hi, starts):
+        # up to 13.25 the first run fills the grid; at 13.26 a second run
+        # starts at the last point
+        grid = p0_range(Fraction(0), Fraction(hi), Fraction(1, 100))
+        sweep = sweep_p0(toy, grid)
+        assert [run.start for run in sweep.runs] == starts
+        assert_matches_brute_force(toy, grid)
+
+    def test_every_point_its_own_run(self, toy):
+        grid = [Fraction(0), *TOY_CHANGE_POINTS]
+        sweep = sweep_p0(toy, grid)
+        assert [run.start for run in sweep.runs] == list(range(len(grid)))
+        assert_matches_brute_force(toy, grid)
+
+
+def count_orders(monkeypatch):
+    """Count the merit orders `sweep_p0` computes from here on."""
+    calls = []
+    order_at = analysis._order_at
+
+    def counted(*args):
+        calls.append(args)
+        return order_at(*args)
+
+    monkeypatch.setattr(analysis, "_order_at", counted)
+    return calls
+
+
+class TestSortsPerRun:
+    """The run search sorts at most 2⌈log₂ L⌉ + 1 times for a run of L
+    points after the first point's sort, never once per point."""
+
+    def test_fine_toy_grid(self, toy, monkeypatch):
+        calls = count_orders(monkeypatch)
+        grid = p0_range(Fraction(0), Fraction(80), Fraction(1, 100))
+        sweep = sweep_p0(toy, grid)
+        assert sweep.change_points == tuple(TOY_CHANGE_POINTS)
+        bound = 1 + len(sweep.runs) * (2 * (len(grid) - 1).bit_length() + 1)
+        assert bound == 190
+        assert len(calls) <= bound
+
+    def test_every_point_its_own_run(self, toy, monkeypatch):
+        calls = count_orders(monkeypatch)
+        grid = [Fraction(0), *TOY_CHANGE_POINTS]
+        sweep_p0(toy, grid)
+        assert len(calls) == len(grid)
 
 
 @st.composite
