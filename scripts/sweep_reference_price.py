@@ -3,7 +3,8 @@
 
 Produces sweep.csv (one row per p0: clearing price, fee pool, reserve set,
 paradox flag) and one merit-order stack SVG per change point, into an
-output directory (default ./sweep-out).
+output directory (default ./sweep-out). The grid lo:hi:step is bounded as
+the CLI's --p0-grid is; a grid it rejects ends the script with exit 1.
 """
 
 import argparse
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from flexmarket import clear_scenario, emit_report, emit_sweep, sweep_p0, toy_grid
+from flexmarket.analysis import p0_range
 
 
 def main() -> None:
@@ -21,11 +23,14 @@ def main() -> None:
     parser.add_argument("--out", default="sweep-out")
     args = parser.parse_args()
 
+    scenario = toy_grid(0, 25)
+    try:
+        grid = p0_range(Fraction(args.lo), Fraction(args.hi), Fraction(args.step))
+        sweep = sweep_p0(scenario, grid)
+    except ValueError as exc:  # includes ScenarioError
+        raise SystemExit(f"validation error: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = toy_grid(0, 25)
-    grid = [Fraction(p) for p in range(args.lo, args.hi + 1, args.step)]
-    sweep = sweep_p0(scenario, grid)
 
     (out / "sweep.csv").write_bytes(emit_sweep(sweep, "csv"))
     print(f"wrote {out / 'sweep.csv'} ({len(sweep.grid)} points)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -202,6 +202,18 @@ def ratio_number(n: int, d: int, rounded: bool = False) -> int | float:
         return n / d
     except OverflowError:
         return to_float(Fraction(n, d))  # raises, naming the reduced value
+
+
+def ratio_column(nums: Sequence[int], d: int, rounded: bool = False) -> list[int | float]:
+    """[ratio_number(n, d, rounded) for n in nums], a column at a time: the
+    same ints, floats and ValueError, without a call per value."""
+    if rounded:
+        return [(2 * n + d) // (2 * d) if n >= 0 else -((d - 2 * n) // (2 * d))
+                for n in nums]
+    try:
+        return [n // d if n % d == 0 else n / d for n in nums]
+    except OverflowError:
+        return [ratio_number(n, d) for n in nums]  # raises for the first such n
 
 
 def to_number(x: Fraction) -> int | float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
 from ._numeric import frac, sorted_exact
@@ -20,6 +21,7 @@ from .spotmarket import ClearingResult, _fill, clear, make_offers
 
 __all__ = [
     "MAX_GRID_POINTS",
+    "P0Grid",
     "SweepPoint",
     "SweepResult",
     "SweepRun",
@@ -31,6 +33,21 @@ __all__ = [
 # Upper bound on the points of one p0 grid, so an untrusted grid spec cannot
 # pin the CPU or exhaust memory.
 MAX_GRID_POINTS = 100_000
+
+
+class P0Grid:
+    """An ascending p0 grid of ints: point i is nums[i]/den, and `p0_range`
+    makes nums a range. An index gives a Fraction, a slice a P0Grid."""
+
+    def __init__(self, nums: Sequence[int], den: int) -> None:
+        self.nums, self.den = nums, den
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i: int | slice) -> Fraction | P0Grid:
+        nums = self.nums[i]
+        return P0Grid(nums, self.den) if isinstance(i, slice) else Fraction(nums, self.den)
 
 
 @dataclass(frozen=True)
@@ -69,14 +86,14 @@ class SweepRun(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's ascending grid and its runs, in grid order. The points and
-    the change points are derived from them."""
+    """A sweep's grid, as ints over one denominator, and its runs in grid
+    order. The points and the change points are derived from them."""
 
-    grid: tuple[Fraction, ...]
+    grid: P0Grid
     runs: tuple[SweepRun, ...]
 
-    def pieces(self) -> Iterator[tuple[SweepRun, tuple[Fraction, ...]]]:
-        """Each run with its grid points."""
+    def pieces(self) -> Iterator[tuple[SweepRun, P0Grid]]:
+        """Each run with its part of the grid."""
         ends = [run.start for run in self.runs[1:]] + [len(self.grid)]
         for run, end in zip(self.runs, ends):
             yield run, self.grid[run.start:end]
@@ -89,7 +106,7 @@ class SweepResult:
     @property
     def has_paradox(self) -> bool:
         """Whether some point is a paradox: a depleting run holds a p0 > 0."""
-        return any(run.depletes and p0s[-1] > 0 for run, p0s in self.pieces())
+        return any(run.depletes and p0s.nums[-1] > 0 for run, p0s in self.pieces())
 
     @cached_property
     def points(self) -> tuple[SweepPoint, ...]:
@@ -119,12 +136,13 @@ def _scaled(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> P0Grid:
     """The grid lo + i·step for i = 0, 1, ... up to hi inclusive (empty if
-    hi < lo).
+    hi < lo): the range start + i·stride of numerators over den, the lcm of
+    lo's and step's denominators, so four ints for any length.
 
     A step <= 0 raises ScenarioError, and so does a grid of more than
-    MAX_GRID_POINTS points, counted before anything is allocated.
+    MAX_GRID_POINTS points.
     """
     if step <= 0:
         raise ScenarioError(f"p0 grid step must be > 0, got {step}")
@@ -135,7 +153,7 @@ def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
         )
     den = lcm(lo.denominator, step.denominator)
     start, stride = _scaled(lo, den), _scaled(step, den)
-    return [Fraction(start + i * stride, den) for i in range(count)]
+    return P0Grid(range(start, start + count * stride, stride), den)
 
 
 def _order_at(order: list[int], terms: list[tuple[int, int, int]],
@@ -149,7 +167,7 @@ def _order_at(order: list[int], terms: list[tuple[int, int, int]],
 
 
 def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
-             nums: list[int], dens: list[int]) -> tuple[int, list[int] | None]:
+             nums: Sequence[int], den: int) -> tuple[int, list[int] | None]:
     """The grid index where the run of `order` beginning at `start` ends, and
     the merit order there (None if the run reaches the grid's end).
 
@@ -162,14 +180,14 @@ def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
     # grid's end), and bisection keeps it so
     lo, hi, after = start, start + 1, None
     while hi < grid_len:
-        probe = _order_at(order, terms, nums[hi], dens[hi])
+        probe = _order_at(order, terms, nums[hi], den)
         if probe != order:
             after = probe
             break
         lo, hi = hi, min(2 * hi - start, grid_len)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = _order_at(order, terms, nums[mid], dens[mid])
+        probe = _order_at(order, terms, nums[mid], den)
         if probe == order:
             lo = mid
         else:
@@ -177,14 +195,16 @@ def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
     return hi, after
 
 
-def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
+def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepResult:
     """Clear the scenario at every grid point, as runs of one merit order.
 
     Each point gives the same result as `clear_scenario` at that p0. Scoring,
     eligibility and an integer scaling of the plants are done once per
-    scenario. Every offer mc_i + (1 - phi_i)·p0 is linear in p0: with one
-    common denominator D over all mc_i and 1 - phi_i, the offers at p0 = a/b
-    are (M_i·b + F_i·a) / (D·b) for the integers M_i = mc_i·D and
+    scenario, and the grid is ints a over one den: a `P0Grid`, which any
+    other grid becomes, over the lcm of its denominators. Every offer
+    mc_i + (1 - phi_i)·p0 is linear in p0: with one common denominator D
+    over all mc_i and 1 - phi_i, the offers at p0 = a/den are
+    (M_i·den + F_i·a) / (D·den) for the integers M_i = mc_i·D and
     F_i = (1 - phi_i)·D, and a merit order is a sort of plain int keys. Two
     offers' difference is linear in p0, so one order holds on an interval of
     the grid: from the start of each run, a galloping search (`_run_end`)
@@ -193,7 +213,7 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     only, so each distinct order starts a `SweepRun`: the fill (the one
     `clear` uses), the dispatched set, the reserve and the fee sum are
     computed once for it, and so are the exact coefficients of its price and
-    C_f, affine in p0. No point is built here: `emit_sweep` writes each point
+    C_f, affine in p0. No point is built here: `emit_sweep` writes each run
     from those integers, and `SweepResult.points` builds the Fractions when
     read.
 
@@ -201,12 +221,14 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     where it would reject the pool, this raises ValueError naming the first
     p0 of the run.
     """
-    grid = tuple(frac(p) for p in p0_grid)
-    if not grid:
+    if not isinstance(p0_grid, P0Grid):
+        points = [frac(p) for p in p0_grid]
+        den = lcm(*(p.denominator for p in points))
+        p0_grid = P0Grid([_scaled(p, den) for p in points], den)
+    nums, den = p0_grid.nums, p0_grid.den
+    if not nums:
         raise ValueError("p0 grid must not be empty")
-    nums = [p.numerator for p in grid]
-    dens = [p.denominator for p in grid]
-    if any(a * d >= c * b for a, b, c, d in zip(nums, dens, nums[1:], dens[1:])):
+    if not all(map(lt, nums, nums[1:])):
         raise ValueError("p0 grid must be strictly ascending")
     if nums[0] < 0:
         raise ValueError("p0 grid must be non-negative")
@@ -235,7 +257,7 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
     terms = [(m * n, f * n, r) for m, f, r in zip(mc_num, fee_num, rank)]
 
     runs = []
-    start, order = 0, _order_at(list(range(n)), terms, nums[0], dens[0])
+    start, order = 0, _order_at(list(range(n)), terms, nums[0], den)
     while order is not None:
         merit = tuple(ids[i] for i in order)
         # capacities and demand are ints over e, so the fill's den is 1
@@ -244,7 +266,7 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
         try:
             members = reserve_members(candidates, scenario.capacity, dispatched)
         except ValueError as exc:
-            raise ValueError(f"p0 = {grid[start]}: {exc}") from None
+            raise ValueError(f"p0 = {p0_grid[start]}: {exc}") from None
         fees = sum(map(fee_cap.__getitem__, order[:count]))
         mc_m = fee_m = 0  # nothing dispatched: price and C_f are 0
         if count:
@@ -255,5 +277,5 @@ def sweep_p0(scenario: Scenario, p0_grid: Sequence[Fraction]) -> SweepResult:
             start, merit, dispatched, frozenset(pid for pid, _, _ in members),
             Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e),
         ))
-        start, order = _run_end(order, start, terms, nums, dens)
-    return SweepResult(grid, tuple(runs))
+        start, order = _run_end(order, start, terms, nums, den)
+    return SweepResult(p0_grid, tuple(runs))

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 from ._numeric import frac, to_number
-from .analysis import clear_scenario, p0_range, sweep_p0
+from .analysis import P0Grid, clear_scenario, p0_range, sweep_p0
 from .capacity import UnallocatableFeeError, build_pool, settle
-from .reports import FORMATS, ROUNDING_MODES, emit_report, emit_settlement, emit_sweep
+from .reports import FORMATS, ROUNDING_MODES, check_format, emit_report, emit_settlement
+from .reports import emit_sweep
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(spec: str) -> list[Fraction]:
+def _parse_grid(spec: str) -> P0Grid:
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = frac(lo_s), frac(hi_s), frac(step_s)
@@ -112,6 +112,7 @@ def _cmd_clear(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    check_format("sweep", args.format, args.rounding)
     scenario = load_scenario(args.scenario)
     sweep = sweep_p0(scenario, _parse_grid(args.p0_grid))
     _write(emit_sweep(sweep, args.format, args.rounding), args.output)
@@ -123,6 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    check_format("settlement", args.format, args.rounding)
     scenario = load_scenario(args.scenario)
     result = clear_scenario(scenario)
     cf = result.total_fee_cf if args.cf is None else frac(args.cf)

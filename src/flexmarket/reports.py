@@ -14,21 +14,28 @@ from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import lcm
 
-from ._numeric import exact_sum, ratio_number, sorted_exact, to_float, to_number
+from ._numeric import exact_sum, ratio_column, ratio_number, sorted_exact
+from ._numeric import to_float, to_number
 from .analysis import SweepResult
 from .capacity import CapacitySettlement
 from .spotmarket import ClearingResult, total_fee
 
-__all__ = ["emit_report", "emit_sweep", "emit_settlement"]
+__all__ = ["check_format", "emit_report", "emit_sweep", "emit_settlement"]
 
 FORMATS = ("plain-table", "csv", "json", "svg-stack")
 ROUNDING_MODES = ("exact", "paper-rounded")
 # values that json and its C encoder both write as themselves
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _NOT_SERIALIZABLE = json.JSONEncoder().default  # raises json's own TypeError
+_NO_STACK = {"sweep": "single clearings, not sweeps",
+             "settlement": "clearings, not settlements"}
 
 
-def _check(format: str, rounding_mode: str) -> None:
+def check_format(report: str, format: str, rounding_mode: str = "exact") -> None:
+    """Raise ValueError unless a "clearing", "sweep" or "settlement" report
+    can be written so; a caller can ask before it does the work."""
+    if format == "svg-stack" and report in _NO_STACK:
+        raise ValueError(f"svg-stack applies to {_NO_STACK[report]}")
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r} (choose from {FORMATS})")
     if rounding_mode not in ROUNDING_MODES:
@@ -152,7 +159,7 @@ def emit_report(
     rounding_mode: str = "exact",
 ) -> bytes:
     """Render one clearing result."""
-    _check(format, rounding_mode)
+    check_format("clearing", format, rounding_mode)
     rows = _clearing_rows(result, rounding_mode)
     summary = _clearing_summary(result, rounding_mode)
 
@@ -253,48 +260,54 @@ def emit_sweep(
     format: str = "plain-table",
     rounding_mode: str = "exact",
 ) -> bytes:
-    """Render a reference-price sweep as table records."""
-    if format == "svg-stack":
-        raise ValueError("svg-stack applies to single clearings, not sweeps")
-    _check(format, rounding_mode)
-    headers = [
-        "p0", "clearing_price", "merit_order", "dispatched",
-        "total_fee_cf", "reserve", "paradox",
-    ]
+    """Render a reference-price sweep as table records, a run at a time. At
+    p0 = a/den a run's price u/v + (s/v)·p0 is (u·den + s·a)/(v·den) and its
+    C_f (w/z)·p0 is w·a/(z·den): `ratio_column` renders each column over its
+    one denominator, and the other cells are joined once per run."""
+    check_format("sweep", format, rounding_mode)
+    headers = ["p0", "clearing_price", "merit_order", "dispatched", "total_fee_cf",
+               "reserve", "paradox"]
     rounded = rounding_mode == "paper-rounded"
-    rows = []
+    blocks = []  # p0s, prices, fees, then the cells shared by their rows
     for run, p0s in sweep.pieces():
-        order = "|".join(run.merit_order)
-        dispatched = "|".join(sorted(run.dispatched))
-        reserve = "|".join(sorted(run.reserve))
-        depletes = run.depletes
-        # at p0 = a/b the price is (u·b + s·a)/(v·b) and C_f is (w·a)/(z·b)
+        nums, den = p0s.nums, p0s.den
         base, slope = run.price_base, run.price_slope
         v = lcm(base.denominator, slope.denominator)
-        u = base.numerator * (v // base.denominator)
+        u = base.numerator * (v // base.denominator) * den
         s = slope.numerator * (v // slope.denominator)
         w, z = run.fee_slope.numerator, run.fee_slope.denominator
-        for p0 in p0s:
-            a, b = p0.numerator, p0.denominator
-            rows.append([
-                ratio_number(a, b),
-                ratio_number(u * b + s * a, v * b, rounded),
-                order,
-                dispatched,
-                ratio_number(w * a, z * b, rounded),
-                reserve,
-                depletes and a > 0,
-            ])
+        prices, fees = [u + s * a for a in nums], [w * a for a in nums]
+        try:
+            columns = [ratio_column(nums, den), ratio_column(prices, v * den, rounded),
+                       ratio_column(fees, z * den, rounded)]
+        except ValueError:  # raise the first value too large in row order
+            for a, c, f in zip(nums, prices, fees):
+                ratio_number(a, den)
+                ratio_number(c, v * den, rounded)
+                ratio_number(f, z * den, rounded)
+            raise
+        cells = ["|".join(run.merit_order), "|".join(sorted(run.dispatched)),
+                 "|".join(sorted(run.reserve))]
+        cut = 1 if run.depletes and nums[0] == 0 else 0  # no paradox at p0 = 0
+        blocks.append([col[:cut] for col in columns] + cells + [False])
+        blocks.append([col[cut:] for col in columns] + cells + [run.depletes])
+    changes = ",".join(str(to_number(p)) for p in sweep.change_points)
+    if format == "csv":
+        lines = [",".join(headers) + "\n"]
+        for p0s, prices, fees, order, dispatched, reserve, paradox in blocks:
+            mid, end = f",{order},{dispatched},", f",{reserve},{paradox}\n"
+            lines += [f"{p},{c}{mid}{f}{end}" for p, c, f in zip(p0s, prices, fees)]
+        lines.append(f"# change_points: {changes}\n")
+        return "".join(lines).encode("utf-8")
+    rows = [[p, c, order, dispatched, f, reserve, paradox]
+            for p0s, prices, fees, order, dispatched, reserve, paradox in blocks
+            for p, c, f in zip(p0s, prices, fees)]
     if format == "json":
-        doc = {
+        return _json_bytes({
             "points": [dict(zip(headers, row)) for row in rows],
             "change_points": [to_number(p) for p in sweep.change_points],
-        }
-        return _json_bytes(doc)
-    body = _csv(headers, rows) if format == "csv" else _table(headers, rows)
-    changes = ",".join(str(to_number(p)) for p in sweep.change_points)
-    prefix = "# " if format == "csv" else ""
-    return body + f"{prefix}change_points: {changes}\n".encode("utf-8")
+        })
+    return _table(headers, rows) + f"change_points: {changes}\n".encode("utf-8")
 
 
 def emit_settlement(
@@ -303,9 +316,7 @@ def emit_settlement(
     rounding_mode: str = "exact",
 ) -> bytes:
     """Render reliability payments."""
-    if format == "svg-stack":
-        raise ValueError("svg-stack applies to clearings, not settlements")
-    _check(format, rounding_mode)
+    check_format("settlement", format, rounding_mode)
     items = sorted_exact(
         settlement.payments.items(), lambda kv: -kv[1], lambda kv: kv[0]
     )

@@ -66,10 +66,9 @@ class Offer:
 
 @dataclass(frozen=True)
 class Profit:
-    """Per-plant profit: margin (EUR/MWh) and absolute rate (EUR/h)."""
+    """Per-plant profit margin (EUR/MWh): the clearing price less the offer."""
 
     margin: Fraction
-    per_hour: Fraction
 
 
 @dataclass(frozen=True)
@@ -197,10 +196,8 @@ def clear(
     fee_ledger = {}
     profits = {}
     for offer in stack[:count]:
-        mw = dispatch[offer.plant_id]
-        margin = clearing_price - offer.offer_price
-        fee_ledger[offer.plant_id] = offer.fee_rate * mw
-        profits[offer.plant_id] = Profit(margin=margin, per_hour=margin * mw)
+        fee_ledger[offer.plant_id] = offer.fee_rate * dispatch[offer.plant_id]
+        profits[offer.plant_id] = Profit(margin=clearing_price - offer.offer_price)
     return ClearingResult(
         clearing_price=clearing_price,
         dispatch=dispatch,

@@ -124,11 +124,21 @@ class TestP0Range:
         while p0 <= hi:
             expected.append(p0)
             p0 += step
-        assert p0_range(lo, hi, step) == expected
+        assert list(p0_range(lo, hi, step)) == expected
 
     def test_hi_is_inclusive_and_below_lo_is_empty(self):
-        assert p0_range(Fraction(0), Fraction(2), Fraction(1)) == [0, 1, 2]
-        assert p0_range(Fraction(2), Fraction(1), Fraction(1)) == []
+        assert list(p0_range(Fraction(0), Fraction(2), Fraction(1))) == [0, 1, 2]
+        assert list(p0_range(Fraction(2), Fraction(1), Fraction(1))) == []
+
+    def test_numerators_over_one_denominator(self):
+        # lo = 1/3 and step = 7/10 share the denominator 30; the grid is a
+        # range of numerators, whatever its length
+        grid = p0_range(Fraction(1, 3), Fraction(80), Fraction(7, 10))
+        assert (grid.nums, grid.den) == (range(10, 2400, 21), 30)
+        assert len(grid) == 114 and grid[113] == Fraction(2383, 30)
+        sliced = grid[1:3]
+        assert (sliced.nums, sliced.den, list(sliced)) == (
+            range(31, 73, 21), 30, [Fraction(31, 30), Fraction(52, 30)])
 
     def test_cap_allows_exactly_max_points(self):
         top = Fraction(MAX_GRID_POINTS - 1)

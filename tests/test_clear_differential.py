@@ -58,11 +58,7 @@ def reference_clearing(scenario):
         remaining -= mw
         clearing_price = offers[plant.id][0]
     fee_ledger = {pid: offers[pid][1] * mw for pid, mw in dispatch.items()}
-    profits = {
-        pid: (clearing_price - offers[pid][0],
-              (clearing_price - offers[pid][0]) * mw)
-        for pid, mw in dispatch.items()
-    }
+    profits = {pid: clearing_price - offers[pid][0] for pid in dispatch}
     return {
         "merit_order": tuple(p.id for p in stack),
         "offers": [(offers[p.id][0], offers[p.id][1], phi[p.id], p.capacity)
@@ -84,7 +80,7 @@ def observed(result):
         "dispatch": result.dispatch,
         "clearing_price": result.clearing_price,
         "fee_ledger": result.fee_ledger,
-        "profits": {pid: (p.margin, p.per_hour) for pid, p in result.profits.items()},
+        "profits": {pid: p.margin for pid, p in result.profits.items()},
         "total_fee_cf": result.total_fee_cf,
         "total_capacity": result.total_capacity,
         "blackout": result.blackout,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flexmarket import cli
 from flexmarket.cli import main
 from flexmarket.flexibility import BUILTIN_MEASURES, hyperbolic_measure
 
@@ -17,6 +18,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_calls(monkeypatch, *names):
+    """Replace these names in the CLI module by stubs that record each call."""
+    calls = []
+    for name in names:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    return calls
 
 
 def write_doc(path, toy_grid_path, market=None, capacity=None):
@@ -248,6 +257,14 @@ class TestSweep:
         assert out == ""
         assert "limit" in err
 
+    def test_svg_stack_rejected_before_the_sweep(self, capsys, monkeypatch,
+                                                 toy_grid_path):
+        calls = record_calls(monkeypatch, "load_scenario", "sweep_p0")
+        code, out, err = run(capsys, "sweep", str(toy_grid_path), "--p0-grid",
+                             "0:80:1/100", "--format", "svg-stack")
+        assert (code, out, calls) == (1, "", [])
+        assert err == "validation error: svg-stack applies to single clearings, not sweeps\n"
+
 
 class TestCapacity:
     def test_literal_cf_with_overlap(self, capsys, tmp_path, toy_grid_path):
@@ -310,6 +327,14 @@ class TestCapacity:
         )
         assert (code, out) == (1, "")
         assert "capacity.participants[1]" in err
+
+    def test_svg_stack_rejected_before_the_clearing(self, capsys, monkeypatch,
+                                                    toy_grid_path):
+        calls = record_calls(monkeypatch, "load_scenario", "clear_scenario")
+        code, out, err = run(capsys, "capacity", str(toy_grid_path),
+                             "--format", "svg-stack")
+        assert (code, out, calls) == (1, "", [])
+        assert err == "validation error: svg-stack applies to clearings, not settlements\n"
 
 
 def _call(*argv):

@@ -1,6 +1,7 @@
 """Differential test of the sweep report: `emit_sweep`, which writes each
-point from its run's integers, against the per-point emitter it replaced,
-which rendered every point's Fractions."""
+run's columns from its integers, against the per-point emitter it replaced,
+which rendered every point's Fractions. Grids come from `p0_range` and as
+explicit lists (`test_sweep_differential.grids`)."""
 
 import json
 from dataclasses import replace
@@ -10,7 +11,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.analysis import sweep_p0
+from flexmarket.analysis import p0_range, sweep_p0
 from flexmarket._numeric import to_float
 from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant
@@ -87,6 +88,17 @@ def plant(pid, start_up, mc, capacity=5):
     return PowerPlant(pid, hours, Fraction(mc), Fraction(capacity))
 
 
+def assert_halves_round_away_from_zero(grid):
+    plants = (plant("a", 0, Fraction(5, 2)), plant("b", None, Fraction(1, 2)))
+    sweep = sweep_p0(Scenario(plants, MarketConfig(0, Fraction(15, 2))), grid)
+    halves = [pt.clearing_price for pt in sweep.points
+              if pt.clearing_price.denominator == 2]
+    assert halves and any(pt.total_fee_cf.denominator == 2 for pt in sweep.points)
+    assert_same_report(sweep)
+    rows = emit_sweep(sweep, "csv", "paper-rounded").decode().splitlines()
+    assert rows[1].split(",")[:2] == ["0", "3"]  # price 5/2 shows as 3
+
+
 @st.composite
 def huge_scenarios(draw):
     """A random scenario with one plant's cost a non-integer near the float
@@ -137,21 +149,23 @@ class TestEmitSweepMatchesPerPointReport:
         assert_same_report(sweep)
 
     def test_exact_halves_round_away_from_zero(self):
-        plants = (plant("a", 0, Fraction(5, 2)), plant("b", None, Fraction(1, 2)))
-        sweep = sweep_p0(Scenario(plants, MarketConfig(0, Fraction(15, 2))),
-                         [Fraction(k, 2) for k in range(0, 13)])
-        halves = [pt.clearing_price for pt in sweep.points
-                  if pt.clearing_price.denominator == 2]
-        assert halves and any(pt.total_fee_cf.denominator == 2 for pt in sweep.points)
-        assert_same_report(sweep)
-        rows = emit_sweep(sweep, "csv", "paper-rounded").decode().splitlines()
-        assert rows[1].split(",")[:2] == ["0", "3"]  # price 5/2 shows as 3
+        assert_halves_round_away_from_zero([Fraction(k, 2) for k in range(0, 13)])
+
+    def test_exact_halves_on_a_p0_range_grid(self):
+        assert_halves_round_away_from_zero(
+            p0_range(Fraction(0), Fraction(6), Fraction(1, 2)))
 
     @pytest.mark.parametrize("grid, cost, first_too_large", [
         ([10**310 + Fraction(1, 3)], 1, 10**310 + Fraction(1, 3)),  # p0 itself
         # the price; at p0 = 1/3 the report's ratio for it is not reduced,
         # and its bit lengths differ by one less than the reduced value's
         ([Fraction(1, 3), Fraction(1, 2)], 10**400 + Fraction(1, 3),
+         10**400 + Fraction(1, 3)),
+        (p0_range(Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
+         10**400 + Fraction(1, 3), 10**400 + Fraction(1, 3)),
+        # p0 is too large at the second point, the price already at the
+        # first: the report names the first in row order, the price
+        ([Fraction(1, 3), 10**310 + Fraction(1, 3)], 10**400 + Fraction(1, 3),
          10**400 + Fraction(1, 3)),
     ])
     def test_beyond_the_float_range_raises_to_floats_error(

@@ -3,6 +3,8 @@ the toy grid, `capacity` and `sweep` on the toy grid with a pinned reserve
 (`toy-grid-pinned.json`: hydro, gas and CHP, overlap allowed), and JSON
 clearing and capacity reports on a 100-plant scenario with decimal inputs
 (fractional capacities and demand, a partly dispatched marginal plant).
+Both toy-grid sweeps run on the integer grid 0:80:1 and on 1/3:80:7/10,
+where no p0 is an integer.
 
 Each case runs `flexmarket.cli.main` in process and compares its exit code
 and stdout byte for byte with `tests/golden/<case>.out`. Each point of the
@@ -29,6 +31,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TOY_GRID = str(SCENARIOS / "toy-grid.json")
 TOY_GRID_PINNED = str(SCENARIOS / "toy-grid-pinned.json")
 DECIMAL_100 = str(SCENARIOS / "decimal-100.json")
+FRACTIONAL_GRID = "1/3:80:7/10"
 
 
 def _cases() -> dict[str, tuple[list[str], int]]:
@@ -41,6 +44,10 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         "pinned-capacity-from-clearing": ["capacity", TOY_GRID_PINNED],
         "pinned-capacity-cf-790": ["capacity", TOY_GRID_PINNED, "--cf", "790"],
         "pinned-sweep-0-80-1": ["sweep", TOY_GRID_PINNED, "--p0-grid", "0:80:1"],
+        # 114 non-integer points, lo and step over different denominators,
+        # across all six of the toy grid's merit-order changes
+        "sweep-third-80-7-10": ["sweep", TOY_GRID, "--p0-grid", FRACTIONAL_GRID],
+        "pinned-sweep-third-80-7-10": ["sweep", TOY_GRID_PINNED, "--p0-grid", FRACTIONAL_GRID],
     }
     cases = {}
     for name, argv in commands.items():

@@ -13,6 +13,8 @@ from flexmarket._numeric import (
     _parse_literal,
     exact_sum,
     parse_number,
+    ratio_column,
+    ratio_number,
     sorted_exact,
     to_number,
 )
@@ -191,6 +193,33 @@ def test_malformed_literals_rejected(text):
 def test_values_beyond_the_float_range_raise_value_error(value):
     with pytest.raises(ValueError, match="too large to report"):
         to_number(value)
+
+
+# numerators near d·2**1024, where a quotient leaves the float range, and
+# small ones, where d = 2 makes exact halves
+numerators = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.builds(lambda sign, k, d, r: sign * ((2**1024 + k) * d + r),
+              st.sampled_from([-1, 1]), st.integers(-(2**970), 2**970),
+              st.sampled_from([1, 2, 3, 10**40]), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(numerators, max_size=8), st.sampled_from([1, 2, 3, 7, 10**40]),
+       st.booleans())
+def test_ratio_column_is_ratio_number_per_value(nums, d, rounded):
+    # the same values, or the ValueError of the first value that raises one
+    try:
+        expected = [ratio_number(n, d, rounded) for n in nums]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ratio_column(nums, d, rounded)
+        assert str(raised.value) == str(exc)
+        return
+    column = ratio_column(nums, d, rounded)
+    assert column == expected
+    assert list(map(type, column)) == list(map(type, expected))
 
 
 def test_integral_values_report_as_ints_at_any_size():

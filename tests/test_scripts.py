@@ -36,3 +36,15 @@ def test_sweep_reference_price(tmp_path):
     svgs = sorted(p.name for p in out.glob("*.svg"))
     assert svgs == [f"stack_p0_{p0}.svg" for p0 in (0, 14, 40, 54, 56, 58, 64)]
     assert all((out / name).read_bytes().startswith(b"<svg") for name in svgs)
+
+
+def test_sweep_reference_price_rejects_an_oversized_grid(tmp_path):
+    # a billion points: rejected by count, before any point is built
+    out = tmp_path / "out"
+    done = run_script("sweep_reference_price.py", "--hi", "1000000000",
+                      "--out", str(out), cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("validation error: p0 grid has 1000000001 points")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()

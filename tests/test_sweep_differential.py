@@ -1,6 +1,10 @@
 """Differential test: the integer-key sweep, read back as points and change
 points, against per-point clearings and the capacity path's reserve and
-paradox at each point; and its grid check against Fraction comparisons."""
+paradox at each point; and its grid check against Fraction comparisons.
+
+Grids are drawn two ways: from `p0_range`, whose lo and step have
+independent denominators, and as explicit lists of Fractions, which
+`sweep_p0` puts over the lcm of their denominators."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -116,10 +120,24 @@ def scenarios(draw):
     )
 
 
-grids = st.lists(
-    st.fractions(min_value=0, max_value=100, max_denominator=4),
-    min_size=1, max_size=15, unique=True,
-).map(sorted)
+@st.composite
+def ranged_grids(draw):
+    """A `p0_range` grid of 1-15 points."""
+    lo = draw(st.fractions(min_value=0, max_value=60, max_denominator=12))
+    step = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
+    count = draw(st.integers(min_value=1, max_value=15))
+    return p0_range(lo, lo + (count - 1) * step, step)
+
+
+grids = st.one_of(
+    ranged_grids(),
+    # shared small denominators: integer points, where offers often tie
+    st.lists(st.fractions(min_value=0, max_value=100, max_denominator=4),
+             min_size=1, max_size=15, unique=True).map(sorted),
+    # one denominator per point
+    st.lists(st.fractions(min_value=0, max_value=100, max_denominator=30),
+             min_size=1, max_size=15, unique_by=lambda x: x.denominator).map(sorted),
+)
 
 
 @st.composite
@@ -127,7 +145,8 @@ def scenarios_with_long_grids(draw):
     """A scenario and an arithmetic grid lo + i·step of 50-400 points. If
     two offers cross at some p0 > 0, the grid puts one such crossing at a
     drawn index, so a run of any length ends there: the galloping search
-    doubles about log2 L times for a run of L points, then bisects."""
+    doubles about log2 L times for a run of L points, then bisects. The grid
+    is a `p0_range` grid or the same points as a list."""
     scenario = draw(scenarios())
     step = draw(st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100))
     count = draw(st.integers(min_value=50, max_value=400))
@@ -142,7 +161,8 @@ def scenarios_with_long_grids(draw):
         lo = max(at - draw(st.integers(min_value=0, max_value=count - 1)) * step, 0)
     else:
         lo = draw(st.fractions(min_value=0, max_value=40, max_denominator=4))
-    return scenario, [lo + i * step for i in range(count)]
+    grid = p0_range(lo, lo + (count - 1) * step, step)
+    return scenario, grid if draw(st.booleans()) else list(grid)
 
 
 def assert_matches_brute_force(scenario, grid):
@@ -263,4 +283,4 @@ class TestGridCheck:
             with pytest.raises(ValueError, match="strictly ascending"):
                 sweep_p0(TOY, grid)
         else:
-            assert sweep_p0(TOY, grid).grid == tuple(grid)
+            assert tuple(sweep_p0(TOY, grid).grid) == tuple(grid)
