@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, count
+from operator import ne
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -131,19 +132,21 @@ def sorted_exact(
     items = list(items)
     values = [value(item) for item in items]
     coarse = [(v.numerator << _COARSE_BITS) // v.denominator for v in values]
-    ordered: list[T] = []
-    for _, run in groupby(sorted(range(len(items)), key=coarse.__getitem__),
-                          key=coarse.__getitem__):
-        run = list(run)
-        if len(run) > 1:
+    order = sorted(range(len(items)), key=coarse.__getitem__)
+    floors = [coarse[i] for i in order]
+    start = 0  # order[start:end] is each run of equal floors in turn
+    for end in compress(count(1), map(ne, floors, floors[1:] + [None])):
+        if end - start > 1:
+            run = order[start:end]
             # no common denominator over distinct ones: their lcm can grow
             # with the run, and comparing Fractions pairwise stays cheap
             if len({values[i].denominator for i in run}) == 1:
                 run.sort(key=lambda i: (values[i].numerator, tiebreak(items[i])))
             else:
                 run.sort(key=lambda i: (values[i], tiebreak(items[i])))
-        ordered.extend(items[i] for i in run)
-    return ordered
+            order[start:end] = run
+        start = end
+    return [items[i] for i in order]
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
@@ -204,16 +207,20 @@ def ratio_number(n: int, d: int, rounded: bool = False) -> int | float:
         return to_float(Fraction(n, d))  # raises, naming the reduced value
 
 
-def ratio_column(nums: Sequence[int], d: int, rounded: bool = False) -> list[int | float]:
-    """[ratio_number(n, d, rounded) for n in nums], a column at a time: the
-    same ints, floats and ValueError, without a call per value."""
+def ratio_column(nums: Sequence[int], dens: int | Sequence[int],
+                 rounded: bool = False) -> list[int | float]:
+    """[ratio_number(n, d, rounded) for n, d in zip(nums, dens)], a column
+    at a time, with an int `dens` the d of every row: the same ints, floats
+    and ValueError, without a call per value."""
+    if isinstance(dens, int):
+        dens = [dens] * len(nums)
     if rounded:
         return [(2 * n + d) // (2 * d) if n >= 0 else -((d - 2 * n) // (2 * d))
-                for n in nums]
+                for n, d in zip(nums, dens)]
     try:
-        return [n // d if n % d == 0 else n / d for n in nums]
-    except OverflowError:
-        return [ratio_number(n, d) for n in nums]  # raises for the first such n
+        return [n // d if n % d == 0 else n / d for n, d in zip(nums, dens)]
+    except OverflowError:  # raises for the first such n / d
+        return [ratio_number(n, d) for n, d in zip(nums, dens)]
 
 
 def to_number(x: Fraction) -> int | float:

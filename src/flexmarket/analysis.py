@@ -128,7 +128,7 @@ def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingRe
     if p0 is not None:
         config = replace(config, reference_price_p0=frac(p0))
     offers = make_offers(scenario.plants, scenario.flexibilities(), config)
-    return clear(offers, scenario.plants, config)
+    return clear(offers, config)
 
 
 def _scaled(x: Fraction, den: int) -> int:

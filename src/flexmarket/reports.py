@@ -8,11 +8,12 @@ away from zero.
 
 from __future__ import annotations
 
-import io
 import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from math import lcm
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from ._numeric import exact_sum, ratio_column, ratio_number, sorted_exact
 from ._numeric import to_float, to_number
@@ -24,9 +25,6 @@ __all__ = ["check_format", "emit_report", "emit_sweep", "emit_settlement"]
 
 FORMATS = ("plain-table", "csv", "json", "svg-stack")
 ROUNDING_MODES = ("exact", "paper-rounded")
-# values that json and its C encoder both write as themselves
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_NOT_SERIALIZABLE = json.JSONEncoder().default  # raises json's own TypeError
 _NO_STACK = {"sweep": "single clearings, not sweeps",
              "settlement": "clearings, not settlements"}
 
@@ -48,29 +46,43 @@ def _disp(x: Fraction, mode: str) -> int | float:
     return ratio_number(x.numerator, x.denominator, mode == "paper-rounded")
 
 
-def _clearing_rows(result: ClearingResult, mode: str) -> list[dict]:
-    rows = []
-    for offer in result.offers:  # already in merit order
-        pid = offer.plant_id
-        dispatched = result.dispatch.get(pid)
-        profit = result.profits.get(pid)
-        rows.append(
-            {
-                "plant_id": pid,
-                "phi": to_number(offer.phi),
-                "fee_rate_eur_per_mwh": _disp(offer.fee_rate, mode),
-                "offer_eur_per_mwh": _disp(offer.offer_price, mode),
-                "capacity_mw": to_number(offer.capacity),
-                "dispatch_mw": to_number(dispatched) if dispatched is not None else 0,
-                "profit_margin_eur_per_mwh": _disp(profit.margin, mode)
-                if profit
-                else "",
-                "fee_eur_per_h": _disp(result.fee_ledger[pid], mode)
-                if pid in result.fee_ledger
-                else "",
-            }
-        )
-    return rows
+def _columns(parts: list[tuple[Sequence[int], int | Sequence[int], bool]]) -> list[list]:
+    """`ratio_column(*part)` for each part, or the ValueError of the first
+    value too large in row order, as a row-by-row report raises it. The
+    first part has a value in every row, the others in their first rows."""
+    try:
+        return [ratio_column(*part) for part in parts]
+    except ValueError:
+        for i in range(len(parts[0][0])):
+            for nums, dens, rounded in parts:
+                if i < len(nums):
+                    ratio_number(nums[i], dens if isinstance(dens, int) else dens[i], rounded)
+        raise
+
+
+def _pairs(values: Iterable[Fraction]) -> tuple[list[int], list[int]]:
+    values = list(values)
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def _clearing_blocks(result: ClearingResult, rounded: bool) -> list[list]:
+    """The plants' rows for `_body`, in merit order: a block of the
+    dispatched plants, then one of the rest. Each column is rendered from
+    int pairs (n, d); a margin P - o is (Pn·od - on·Pd)/(Pd·od) and a fee
+    r·m is (rn·mn)/(rd·md), unreduced, which render as the reduced values."""
+    offers, count = result.offers, len(result.dispatch)
+    phi, rate, offer, cap = (_pairs(map(attrgetter(name), offers))
+                             for name in ("phi", "fee_rate", "offer_price", "capacity"))
+    mw = _pairs(result.dispatch.values())
+    pn, pd = result.clearing_price.numerator, result.clearing_price.denominator
+    on, od = offer[0][:count], offer[1][:count]
+    margin = [pn * d - n * pd for n, d in zip(on, od)], [pd * d for d in od]
+    fee = [a * b for a, b in zip(rate[0], mw[0])], [a * b for a, b in zip(rate[1], mw[1])]
+    columns = _columns([(*phi, False), (*rate, rounded), (*offer, rounded), (*cap, False),
+                        (*mw, False), (*margin, rounded), (*fee, rounded)])
+    ids = [o.plant_id for o in offers]
+    return [[ids[:count], *(column[:count] for column in columns)],
+            [ids[count:], *(column[count:] for column in columns[:4]), 0, "", ""]]
 
 
 def _clearing_summary(result: ClearingResult, mode: str) -> dict:
@@ -83,74 +95,76 @@ def _clearing_summary(result: ClearingResult, mode: str) -> dict:
     }
 
 
+_CHUNK = 512  # rows rendered at a time, so not every cell is a str at once
+
+
+def _body(format: str, headers: list[str], blocks: list[list]) -> list[bytes]:
+    """Rows as `format` writes them, `_CHUNK` rows to a bytes: CSV's header
+    line and rows, a plain table's header, rule and padded rows, or JSON's
+    rows as objects with sorted keys at depth 2, joined by commas.
+
+    A block is a cell per header, the first a list: a list holds the value
+    of each of the block's rows, and any other cell is one value shared by
+    them, rendered (encoded or padded) once, in the block's row template."""
+    blocks = [block for block in blocks if block[0]]
+    order, chunks = range(len(headers)), []
+    if format == "json":
+        order = sorted(order, key=headers.__getitem__)
+        start, sep, end, render = "    {\n", ",\n", "\n    },\n", json.dumps
+        slots = [f"      {encode_basestring_ascii(h)}: %s" for h in headers]
+    elif format == "csv":
+        start, sep, end, render, slots = "", ",", "\n", str, ["%s"] * len(headers)
+        chunks.append(",".join(headers) + "\n")
+    else:
+        blocks = [[list(map(str, c)) if isinstance(c, list) else str(c) for c in block]
+                  for block in blocks]
+        widths = [max([len(h)] + [max(map(len, c)) if isinstance(c, list) else len(c)
+                                  for c in (block[i] for block in blocks)])
+                  for i, h in enumerate(headers)]
+        start, sep, end, render, slots = "", "  ", "", str, [f"%-{w}s" for w in widths]
+        chunks.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
+                      + "\n" + "  ".join("-" * w for w in widths) + "\n")
+    chunks = [chunk.encode("utf-8") for chunk in chunks]
+    for block in blocks:
+        columns, parts = [], []
+        for i in order:
+            cell = block[i]
+            if isinstance(cell, list):
+                if format == "json" and isinstance(cell[0], str):
+                    cell = [encode_basestring_ascii(v) for v in cell]
+                columns.append(cell)
+                parts.append(slots[i])
+            else:
+                parts.append((slots[i] % render(cell)).replace("%", "%%"))
+        template = start + sep.join(parts) + end
+        for at in range(0, len(block[0]), _CHUNK):
+            rows = map(template.__mod__, zip(*(c[at:at + _CHUNK] for c in columns)))
+            if format == "plain-table":
+                rows = (row.rstrip() + "\n" for row in rows)
+            chunks.append("".join(rows).encode("utf-8"))
+    if format == "json" and chunks:
+        chunks[-1] = chunks[-1][:-2]  # no comma after the last row
+    return chunks
+
+
 def _table(headers: list[str], rows: list[list[object]]) -> bytes:
-    cells = [list(map(str, row)) for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    out = io.StringIO()
-    out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    for row in cells:
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
-    return out.getvalue().encode("utf-8")
-
-
-def _csv(headers: list[str], rows: list[list[object]]) -> bytes:
-    out = io.StringIO()
-    out.write(",".join(headers) + "\n")
-    for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
-    return out.getvalue().encode("utf-8")
+    """A plain table of `rows`, each a list of cells."""
+    return b"".join(_body("plain-table", headers, [list(map(list, zip(*rows))) or [[]]]))
 
 
 def _json_bytes(doc: object) -> bytes:
-    """`json.dumps(doc, indent=2, sort_keys=True)` and a newline, as bytes.
-
-    json.dumps runs the pure-Python encoder whenever `indent` is set. The same
-    bytes come from the C encoder: with item separator ",\n" plus the
-    indentation it writes an object or array of scalars exactly as the
-    indenting encoder would, apart from the line breaks after its opening
-    and before its closing bracket, which _indented adds around it.
-    """
-    if c_make_encoder is None:
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    return (_indented(doc, 0, {}) + "\n").encode("utf-8")
+    """`json.dumps(doc, indent=2, sort_keys=True)` and a newline, as bytes."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _indented(value: object, depth: int, encoders: dict) -> str:
-    """`value`, a document whose objects have str keys, as json.dumps(indent=2,
-    sort_keys=True) writes it at `depth` levels of nesting; `encoders` caches
-    a C encoder per depth."""
-    if isinstance(value, dict):
-        values = value.values()
-    elif isinstance(value, (list, tuple)):
-        values = value
-    else:
-        values = ()
-    encode = encoders.get(depth)
-    if encode is None:
-        encode = encoders[depth] = c_make_encoder(
-            None, _NOT_SERIALIZABLE, encode_basestring_ascii, None, ": ",
-            ",\n" + "  " * (depth + 1), True, False, True,
-        )
-    if not values or _SCALARS.issuperset(map(type, values)):
-        text = "".join(encode(value, 0))
-        if not values:  # a scalar, or an empty object or array
-            return text
-        return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
-    if isinstance(value, dict):
-        parts = [
-            f"{encode_basestring_ascii(k)}: {_indented(v, depth + 1, encoders)}"
-            for k, v in sorted(value.items())
-        ]
-        brackets = "{}"
-    else:
-        parts = [_indented(v, depth + 1, encoders) for v in values]
-        brackets = "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}\n{'  ' * depth}{brackets[1]}"
+def _with_rows(doc: dict, key: str, rows: list[bytes]) -> bytes:
+    """`_json_bytes(doc)` with the JSON rows from `_body` as the list
+    doc[key], which is empty in doc."""
+    text = _json_bytes(doc)
+    if not rows:
+        return text
+    head, tail = text.split(f'"{key}": []'.encode(), 1)
+    return b"".join([head, f'"{key}": [\n'.encode(), *rows, b"\n  ]", tail])
 
 
 def emit_report(
@@ -160,26 +174,18 @@ def emit_report(
 ) -> bytes:
     """Render one clearing result."""
     check_format("clearing", format, rounding_mode)
-    rows = _clearing_rows(result, rounding_mode)
+    blocks = _clearing_blocks(result, rounding_mode == "paper-rounded")
     summary = _clearing_summary(result, rounding_mode)
-
+    if format == "svg-stack":
+        return _svg_stack(result)
+    headers = ["plant_id", "phi", "fee_rate_eur_per_mwh", "offer_eur_per_mwh", "capacity_mw",
+               "dispatch_mw", "profit_margin_eur_per_mwh", "fee_eur_per_h"]
+    rows = _body(format, headers, blocks)
     if format == "json":
-        return _json_bytes({"plants": rows, "summary": summary})
-
-    headers = list(rows[0].keys()) if rows else [
-        "plant_id", "phi", "fee_rate_eur_per_mwh", "offer_eur_per_mwh",
-        "capacity_mw", "dispatch_mw", "profit_margin_eur_per_mwh", "fee_eur_per_h",
-    ]
-    table_rows = [[r[h] for h in headers] for r in rows]
-    if format == "csv":
-        body = _csv(headers, table_rows)
-        footer = "".join(f"# {k}={v}\n" for k, v in summary.items())
-        return body + footer.encode("utf-8")
-    if format == "plain-table":
-        body = _table(headers, table_rows)
-        footer = "".join(f"{k}: {v}\n" for k, v in summary.items())
-        return body + footer.encode("utf-8")
-    return _svg_stack(result)
+        return _with_rows({"plants": [], "summary": summary}, "plants", rows)
+    prefix, sep = ("# ", "=") if format == "csv" else ("", ": ")
+    footer = "".join(f"{prefix}{k}{sep}{v}\n" for k, v in summary.items())
+    return b"".join([*rows, footer.encode("utf-8")])
 
 
 _PALETTE = (
@@ -263,12 +269,12 @@ def emit_sweep(
     """Render a reference-price sweep as table records, a run at a time. At
     p0 = a/den a run's price u/v + (s/v)·p0 is (u·den + s·a)/(v·den) and its
     C_f (w/z)·p0 is w·a/(z·den): `ratio_column` renders each column over its
-    one denominator, and the other cells are joined once per run."""
+    one denominator, and `_body` renders the cells a run's rows share once."""
     check_format("sweep", format, rounding_mode)
     headers = ["p0", "clearing_price", "merit_order", "dispatched", "total_fee_cf",
                "reserve", "paradox"]
     rounded = rounding_mode == "paper-rounded"
-    blocks = []  # p0s, prices, fees, then the cells shared by their rows
+    blocks = []  # for _body: per run, its rows before p0 > 0 and the rest
     for run, p0s in sweep.pieces():
         nums, den = p0s.nums, p0s.den
         base, slope = run.price_base, run.price_slope
@@ -277,37 +283,21 @@ def emit_sweep(
         s = slope.numerator * (v // slope.denominator)
         w, z = run.fee_slope.numerator, run.fee_slope.denominator
         prices, fees = [u + s * a for a in nums], [w * a for a in nums]
-        try:
-            columns = [ratio_column(nums, den), ratio_column(prices, v * den, rounded),
-                       ratio_column(fees, z * den, rounded)]
-        except ValueError:  # raise the first value too large in row order
-            for a, c, f in zip(nums, prices, fees):
-                ratio_number(a, den)
-                ratio_number(c, v * den, rounded)
-                ratio_number(f, z * den, rounded)
-            raise
-        cells = ["|".join(run.merit_order), "|".join(sorted(run.dispatched)),
-                 "|".join(sorted(run.reserve))]
+        columns = _columns([(nums, den, False), (prices, v * den, rounded),
+                            (fees, z * den, rounded)])
+        order, dispatched = "|".join(run.merit_order), "|".join(sorted(run.dispatched))
+        reserve = "|".join(sorted(run.reserve))
         cut = 1 if run.depletes and nums[0] == 0 else 0  # no paradox at p0 = 0
-        blocks.append([col[:cut] for col in columns] + cells + [False])
-        blocks.append([col[cut:] for col in columns] + cells + [run.depletes])
-    changes = ",".join(str(to_number(p)) for p in sweep.change_points)
-    if format == "csv":
-        lines = [",".join(headers) + "\n"]
-        for p0s, prices, fees, order, dispatched, reserve, paradox in blocks:
-            mid, end = f",{order},{dispatched},", f",{reserve},{paradox}\n"
-            lines += [f"{p},{c}{mid}{f}{end}" for p, c, f in zip(p0s, prices, fees)]
-        lines.append(f"# change_points: {changes}\n")
-        return "".join(lines).encode("utf-8")
-    rows = [[p, c, order, dispatched, f, reserve, paradox]
-            for p0s, prices, fees, order, dispatched, reserve, paradox in blocks
-            for p, c, f in zip(p0s, prices, fees)]
+        for part, paradox in ((slice(cut), False), (slice(cut, None), run.depletes)):
+            p0s, prices, fees = (column[part] for column in columns)
+            blocks.append([p0s, prices, order, dispatched, fees, reserve, paradox])
+    rows = _body(format, headers, blocks)
     if format == "json":
-        return _json_bytes({
-            "points": [dict(zip(headers, row)) for row in rows],
-            "change_points": [to_number(p) for p in sweep.change_points],
-        })
-    return _table(headers, rows) + f"change_points: {changes}\n".encode("utf-8")
+        return _with_rows({"points": [], "change_points": [
+            to_number(p) for p in sweep.change_points]}, "points", rows)
+    changes = ",".join(str(to_number(p)) for p in sweep.change_points)
+    prefix = "# " if format == "csv" else ""
+    return b"".join([*rows, f"{prefix}change_points: {changes}\n".encode("utf-8")])
 
 
 def emit_settlement(
@@ -320,14 +310,12 @@ def emit_settlement(
     items = sorted_exact(
         settlement.payments.items(), lambda kv: -kv[1], lambda kv: kv[0]
     )
-    rows = [[pid, _disp(value, rounding_mode)] for pid, value in items]
     headers = ["plant_id", "reliability_payment_eur_per_h"]
-    summary = {"source_fee_cf_eur_per_h": _disp(settlement.source_fee_cf, rounding_mode)}
+    rows = _body(format, headers, [[[pid for pid, _ in items],
+                                    [_disp(value, rounding_mode) for _, value in items]]])
+    source = _disp(settlement.source_fee_cf, rounding_mode)
     if format == "json":
-        return _json_bytes(
-            {"payments": [dict(zip(headers, r)) for r in rows], "summary": summary}
-        )
-    body = _csv(headers, rows) if format == "csv" else _table(headers, rows)
+        return _with_rows({"payments": [], "summary": {"source_fee_cf_eur_per_h": source}},
+                          "payments", rows)
     prefix = "# " if format == "csv" else ""
-    line = f"{prefix}source_fee_cf_eur_per_h: {summary['source_fee_cf_eur_per_h']}\n"
-    return body + line.encode("utf-8")
+    return b"".join([*rows, f"{prefix}source_fee_cf_eur_per_h: {source}\n".encode("utf-8")])

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from ._numeric import exact_sum, frac, round_half_away, sorted_exact
+from ._numeric import exact_sum, frac, ratio_number, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
@@ -73,14 +74,27 @@ class Profit:
 
 @dataclass(frozen=True)
 class ClearingResult:
+    """One clearing. The dispatched plants (MW) are the first of the offers
+    in merit order; their fees and margins are derived when read."""
+
     clearing_price: Fraction
     dispatch: dict[str, Fraction]
-    profits: dict[str, Profit]
-    fee_ledger: dict[str, Fraction]
     total_fee_cf: Fraction
     consumed_energy: Fraction
     blackout: bool
     offers: tuple[Offer, ...] = ()  # in merit order
+
+    @cached_property
+    def fee_ledger(self) -> dict[str, Fraction]:
+        """Each dispatched plant's fee (EUR/h): its fee rate times its MW."""
+        return {o.plant_id: o.fee_rate * mw
+                for o, mw in zip(self.offers, self.dispatch.values())}
+
+    @cached_property
+    def profits(self) -> dict[str, Profit]:
+        """Each dispatched plant's margin: the clearing price less its offer."""
+        return {o.plant_id: Profit(self.clearing_price - o.offer_price)
+                for o in self.offers[:len(self.dispatch)]}
 
     @property
     def merit_order(self) -> tuple[str, ...]:
@@ -119,17 +133,13 @@ def merit_order(offers: Sequence[Offer]) -> list[Offer]:
     """Ascending by offer price; ties broken by higher phi, then plant id."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    # equal scores share one -phi object: tuples compare identical items as
-    # equal without calling Fraction.__eq__, which equal offers would do often
-    neg_phi: dict[tuple[int, int], Fraction] = {}
-
-    def tiebreak(offer: Offer) -> tuple[Fraction, str]:
-        key = (offer.phi.numerator, offer.phi.denominator)
-        if key not in neg_phi:
-            neg_phi[key] = -offer.phi
-        return neg_phi[key], offer.plant_id
-
-    return sorted_exact(offers, lambda o: o.offer_price, tiebreak)
+    # equal offers are ordered on ints: the rank of their phi among the
+    # distinct scores, highest first, then the plant id
+    scores = {(o.phi.numerator, o.phi.denominator): o.phi for o in offers}
+    ascending = sorted_exact(scores, scores.__getitem__, lambda key: 0)
+    rank = {key: -i for i, key in enumerate(ascending)}
+    return sorted_exact(offers, lambda o: o.offer_price, lambda o: (
+        rank[o.phi.numerator, o.phi.denominator], o.plant_id))
 
 
 def _fill(
@@ -159,11 +169,7 @@ def _fill(
     return count, rest, den
 
 
-def clear(
-    offers: Sequence[Offer],
-    plants: Sequence[PowerPlant],
-    config: MarketConfig,
-) -> ClearingResult:
+def clear(offers: Sequence[Offer], config: MarketConfig) -> ClearingResult:
     """Uniform-price clearing of inelastic demand against the merit order.
 
     The marginal (last dispatched) plant sets the clearing price and may be
@@ -171,11 +177,8 @@ def clear(
     total capacity is a blackout outcome (flag set, full dispatch at the
     highest offer), not an error, so reference-price sweeps can continue.
     """
-    known = {p.id for p in plants}
     offered: set[str] = set()
     for offer in offers:
-        if offer.plant_id not in known:
-            raise ValueError(f"offer references unknown plant {offer.plant_id!r}")
         if offer.plant_id in offered:
             raise ValueError(f"two offers for plant {offer.plant_id!r}")
         offered.add(offer.plant_id)
@@ -192,22 +195,24 @@ def clear(
             dispatch[marginal.plant_id] = Fraction(
                 capacity.numerator * (den // capacity.denominator) + rest, den
             )
-
-    fee_ledger = {}
-    profits = {}
-    for offer in stack[:count]:
-        fee_ledger[offer.plant_id] = offer.fee_rate * dispatch[offer.plant_id]
-        profits[offer.plant_id] = Profit(margin=clearing_price - offer.offer_price)
     return ClearingResult(
         clearing_price=clearing_price,
         dispatch=dispatch,
-        profits=profits,
-        fee_ledger=fee_ledger,
-        total_fee_cf=exact_sum(fee_ledger.values()),
+        total_fee_cf=_product_sum(zip((o.fee_rate for o in stack), dispatch.values())),
         consumed_energy=demand * config.period,
         blackout=rest > 0,
         offers=tuple(stack),
     )
+
+
+def _product_sum(pairs: Iterable[tuple[Fraction | int, Fraction]]) -> Fraction:
+    """The exact sum of x·y over the pairs: numerator products are added as
+    ints per product of denominators, and those sums by `exact_sum`."""
+    groups: dict[int, int] = {}
+    for x, y in pairs:
+        d = x.denominator * y.denominator
+        groups[d] = groups.get(d, 0) + x.numerator * y.numerator
+    return exact_sum(Fraction(n, d) for d, n in groups.items())
 
 
 def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
@@ -220,10 +225,9 @@ def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
     if mode == "exact":
         return result.total_fee_cf
     if mode == "paper-rounded":
-        rate = {o.plant_id: o.fee_rate for o in result.offers}
-        return exact_sum(
-            round_half_away(rate[pid]) * mw for pid, mw in result.dispatch.items()
-        )
+        rates = (ratio_number(o.fee_rate.numerator, o.fee_rate.denominator, True)
+                 for o in result.offers)
+        return _product_sum(zip(rates, result.dispatch.values()))
     raise ValueError(f"unknown fee mode {mode!r}")
 
 

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from flexmarket.analysis import clear_scenario
 from flexmarket.capacity import UnallocatableFeeError, build_pool, settle
 from flexmarket.cli import main
-from flexmarket.reports import _csv, _disp, _json_bytes, _table
+from flexmarket.reports import _disp, _json_bytes
 from flexmarket.scenario import load_scenario
+from test_emit_report_differential import csv_bytes, table_bytes
 
 RUNS = settings(max_examples=150, deadline=None)
 
@@ -66,7 +67,7 @@ def oracle(scenario_path, cf_arg, allow_overlap, fmt, rounding):
                 "summary": {"source_fee_cf_eur_per_h": source},
             }
         )
-    body = _csv(headers, rows) if fmt == "csv" else _table(headers, rows)
+    body = csv_bytes(headers, rows) if fmt == "csv" else table_bytes(headers, rows)
     prefix = "# " if fmt == "csv" else ""
     return 0, body + f"{prefix}source_fee_cf_eur_per_h: {source}\n".encode()
 

@@ -1,8 +1,9 @@
 """CLI stdout bytes and exit codes against stored outputs: every command on
 the toy grid, `capacity` and `sweep` on the toy grid with a pinned reserve
-(`toy-grid-pinned.json`: hydro, gas and CHP, overlap allowed), and JSON
-clearing and capacity reports on a 100-plant scenario with decimal inputs
-(fractional capacities and demand, a partly dispatched marginal plant).
+(`toy-grid-pinned.json`: hydro, gas and CHP, overlap allowed), and clearing
+reports in every text format and JSON capacity reports on a 100-plant
+scenario with decimal inputs (fractional capacities and demand, a partly
+dispatched marginal plant, non-integer fees).
 Both toy-grid sweeps run on the integer grid 0:80:1 and on 1/3:80:7/10,
 where no p0 is an integer.
 
@@ -57,11 +58,13 @@ def _cases() -> dict[str, tuple[list[str], int]]:
                     argv + ["--format", fmt, "--rounding", rounding], 0
                 )
     cases["clear-p0-10.svg-stack"] = (["clear", TOY_GRID, "--format", "svg-stack"], 0)
-    for command in ("clear", "capacity"):
-        for rounding in ("exact", "paper-rounded"):
-            cases[f"decimal-100-{command}.json.{rounding}"] = (
-                [command, DECIMAL_100, "--format", "json", "--rounding", rounding], 0
-            )
+    for command, formats in (("clear", ("plain-table", "csv", "json")),
+                             ("capacity", ("json",))):
+        for fmt in formats:
+            for rounding in ("exact", "paper-rounded"):
+                cases[f"decimal-100-{command}.{fmt}.{rounding}"] = (
+                    [command, DECIMAL_100, "--format", fmt, "--rounding", rounding], 0
+                )
     return cases
 
 

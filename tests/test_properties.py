@@ -130,7 +130,7 @@ class TestClearingProperties:
     def test_dispatch_conservation(self, market):
         plants, config = market
         phis = flexibilities_for(plants, hyperbolic_measure())
-        result = clear(make_offers(plants, phis, config), plants, config)
+        result = clear(make_offers(plants, phis, config), config)
         assert sum(result.dispatch.values(), Fraction(0)) == min(
             config.demand, result.total_capacity
         )
@@ -144,11 +144,10 @@ class TestClearingProperties:
         # same fee and the permutation must match the zero-fee one
         phis = {p.id: shared_phi for p in plants}
         base = clear(
-            make_offers(plants, phis, MarketConfig(0, demand)),
-            plants, MarketConfig(0, demand),
+            make_offers(plants, phis, MarketConfig(0, demand)), MarketConfig(0, demand)
         ).merit_order
         config = MarketConfig(p0, demand)
-        shifted = clear(make_offers(plants, phis, config), plants, config).merit_order
+        shifted = clear(make_offers(plants, phis, config), config).merit_order
         assert shifted == base
 
     @RUNS
@@ -156,7 +155,7 @@ class TestClearingProperties:
     def test_dispatched_profits_nonnegative(self, market):
         plants, config = market
         phis = flexibilities_for(plants, hyperbolic_measure())
-        result = clear(make_offers(plants, phis, config), plants, config)
+        result = clear(make_offers(plants, phis, config), config)
         assert all(p.margin >= 0 for p in result.profits.values())
 
 
@@ -197,7 +196,7 @@ class TestDispatchOracle:
         plants, config = market
         phis = flexibilities_for(plants, hyperbolic_measure())
         offers = make_offers(plants, phis, config)
-        result = clear(offers, plants, config)
+        result = clear(offers, config)
         if result.blackout or config.demand == 0:
             return
         price = {o.plant_id: o.offer_price for o in offers}

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts in scripts/, run as programs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,43 @@ def test_sweep_reference_price_rejects_an_oversized_grid(tmp_path):
     assert done.stderr.startswith("validation error: p0 grid has 1000000001 points")
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+# A stand-in for perfbench/run.py: prints the last-line result object with
+# the wall time and correctness stored in its checkout's fake.json.
+FAKE_RUN = """import json, sys
+from pathlib import Path
+wall, correct = json.loads((Path(__file__).resolve().parent.parent / "fake.json").read_text())
+print("# fake run", sys.argv[1:])
+print(json.dumps({"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                  "metrics": {"wall_s": {"value": wall, "unit": "s"}}}))
+"""
+
+
+def fake_checkout(root, wall, correct=True):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "fake.json").write_text(json.dumps([wall, correct]))
+    return root
+
+
+def run_bench_pairs(tmp_path, parent, change):
+    return run_script("bench_pairs.py", str(parent), str(change), "--workload", "clear-json",
+                      "--pairs", "3", "--seconds", "1", cwd=tmp_path)
+
+
+def test_bench_pairs_alternates_and_counts_pairs_won(tmp_path):
+    done = run_bench_pairs(tmp_path, fake_checkout(tmp_path / "parent", 0.5),
+                           fake_checkout(tmp_path / "change", 0.4))
+    assert done.returncode == 0, done.stderr
+    assert "  wall_s: 0.5000 [0.5000-0.5000] -> 0.4000 [0.4000-0.4000]; won 0/3\n" in done.stdout
+    runs = [line.split(":")[0] for line in done.stdout.splitlines() if line.startswith("# pair")]
+    assert runs == ["# pair 1, parent", "# pair 1, change", "# pair 2, change",
+                    "# pair 2, parent", "# pair 3, parent", "# pair 3, change"]
+
+
+def test_bench_pairs_fails_on_an_incorrect_run(tmp_path):
+    done = run_bench_pairs(tmp_path, fake_checkout(tmp_path / "parent", 0.5),
+                           fake_checkout(tmp_path / "change", 0.4, correct=False))
+    assert done.returncode == 1
+    assert "3 run(s) reported correct: false" in done.stderr

@@ -111,7 +111,7 @@ class TestClear:
         offers = make_offers(plants, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, config)
         cheaper = Offer("a", Fraction(1), Fraction(0), Fraction(1, 2), Fraction(5))
         with pytest.raises(ValueError, match="'a'"):
-            clear(offers + [cheaper], plants, config)
+            clear(offers + [cheaper], config)
 
     def test_zero_demand(self):
         result = clear_scenario(toy_grid(10, 0))
@@ -137,7 +137,7 @@ class TestClear:
         plants = [simple_plant("a", mc=1, cap=5), simple_plant("b", mc=2, cap=5)]
         phis = {"a": Fraction(1), "b": Fraction(1)}
         config = MarketConfig(0, 7)
-        result = clear(make_offers(plants, phis, config), plants, config)
+        result = clear(make_offers(plants, phis, config), config)
         assert result.dispatch == {"a": 5, "b": 2}
         assert result.clearing_price == 2
 
@@ -145,12 +145,12 @@ class TestClear:
         plants = [simple_plant("a", mc=1, cap=5), simple_plant("b", mc=2, cap=5)]
         phis = {"a": Fraction(1), "b": Fraction(1)}
         config = MarketConfig(0, 5)
-        result = clear(make_offers(plants, phis, config), plants, config)
+        result = clear(make_offers(plants, phis, config), config)
         assert result.dispatch == {"a": 5}
         assert result.clearing_price == 1
 
     def test_empty_offer_list_with_demand_is_blackout(self):
-        result = clear([], [], MarketConfig(10, 25))
+        result = clear([], MarketConfig(10, 25))
         assert result.blackout
         assert result.dispatch == {}
 
