@@ -171,13 +171,6 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     return terms[0] if terms else Fraction(0)
 
 
-def round_half_away(x: Fraction, ndigits: int = 0) -> Fraction:
-    """Round to `ndigits` decimal places, ties going away from zero."""
-    scale = 10**ndigits
-    q = Fraction(x) * scale
-    return Fraction(ratio_number(q.numerator, q.denominator, rounded=True), scale)
-
-
 def to_float(x: Fraction) -> float:
     """The nearest float to x; ValueError if x is beyond the float range."""
     try:
@@ -207,13 +200,12 @@ def ratio_number(n: int, d: int, rounded: bool = False) -> int | float:
         return to_float(Fraction(n, d))  # raises, naming the reduced value
 
 
-def ratio_column(nums: Sequence[int], dens: int | Sequence[int],
+def ratio_column(nums: Sequence[int], dens: Iterable[int],
                  rounded: bool = False) -> list[int | float]:
     """[ratio_number(n, d, rounded) for n, d in zip(nums, dens)], a column
-    at a time, with an int `dens` the d of every row: the same ints, floats
-    and ValueError, without a call per value."""
-    if isinstance(dens, int):
-        dens = [dens] * len(nums)
+    at a time: the same ints, floats and ValueError, without a call per
+    value. `dens` may be read twice: a sequence, or `itertools.repeat(d)`
+    for one d in every row."""
     if rounded:
         return [(2 * n + d) // (2 * d) if n >= 0 else -((d - 2 * n) // (2 * d))
                 for n, d in zip(nums, dens)]

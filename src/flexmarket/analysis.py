@@ -14,10 +14,10 @@ from math import lcm
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
-from ._numeric import frac, sorted_exact
+from ._numeric import frac
 from .capacity import is_paradox, reserve_candidates, reserve_members
 from .scenario import Scenario, ScenarioError
-from .spotmarket import ClearingResult, _fill, clear, make_offers
+from .spotmarket import ClearingResult, _fill, clear, make_offers, tie_key
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -248,11 +248,10 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
     cap = [_scaled(p.capacity, e) for p in plants]
     fee_cap = [f * c for f, c in zip(fee_num, cap)]  # F_i·C_i: fee at full output
     q = _scaled(demand, e)
-    # merit_order breaks equal offers by higher phi, then plant id; the rank
-    # is added below the offer in the sort key, which keeps keys distinct.
-    rank = [0] * n
-    tie_order = sorted_exact(range(n), lambda i: -phi[ids[i]], ids.__getitem__)
-    for r, i in enumerate(tie_order):
+    # merit_order breaks equal offers on this rank; it is added below the
+    # offer in the sort key, which keeps keys distinct.
+    key, rank = tie_key(phi[pid] for pid in ids), [0] * n
+    for r, i in enumerate(sorted(range(n), key=lambda i: key(phi[ids[i]], ids[i]))):
         rank[i] = r
     terms = [(m * n, f * n, r) for m, f, r in zip(mc_num, fee_num, rank)]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import lcm
 from operator import attrgetter
@@ -46,17 +47,18 @@ def _disp(x: Fraction, mode: str) -> int | float:
     return ratio_number(x.numerator, x.denominator, mode == "paper-rounded")
 
 
-def _columns(parts: list[tuple[Sequence[int], int | Sequence[int], bool]]) -> list[list]:
+def _columns(parts: list[tuple[Sequence[int], Iterable[int], bool]]) -> list[list]:
     """`ratio_column(*part)` for each part, or the ValueError of the first
     value too large in row order, as a row-by-row report raises it. The
     first part has a value in every row, the others in their first rows."""
     try:
         return [ratio_column(*part) for part in parts]
     except ValueError:
+        rows = [zip(nums, dens) for nums, dens, _ in parts]
         for i in range(len(parts[0][0])):
-            for nums, dens, rounded in parts:
+            for (nums, _, rounded), pairs in zip(parts, rows):
                 if i < len(nums):
-                    ratio_number(nums[i], dens if isinstance(dens, int) else dens[i], rounded)
+                    ratio_number(*next(pairs), rounded)
         raise
 
 
@@ -145,11 +147,6 @@ def _body(format: str, headers: list[str], blocks: list[list]) -> list[bytes]:
     if format == "json" and chunks:
         chunks[-1] = chunks[-1][:-2]  # no comma after the last row
     return chunks
-
-
-def _table(headers: list[str], rows: list[list[object]]) -> bytes:
-    """A plain table of `rows`, each a list of cells."""
-    return b"".join(_body("plain-table", headers, [list(map(list, zip(*rows))) or [[]]]))
 
 
 def _json_bytes(doc: object) -> bytes:
@@ -283,8 +280,8 @@ def emit_sweep(
         s = slope.numerator * (v // slope.denominator)
         w, z = run.fee_slope.numerator, run.fee_slope.denominator
         prices, fees = [u + s * a for a in nums], [w * a for a in nums]
-        columns = _columns([(nums, den, False), (prices, v * den, rounded),
-                            (fees, z * den, rounded)])
+        columns = _columns([(nums, repeat(den), False), (prices, repeat(v * den), rounded),
+                            (fees, repeat(z * den), rounded)])
         order, dispatched = "|".join(run.merit_order), "|".join(sorted(run.dispatched))
         reserve = "|".join(sorted(run.reserve))
         cut = 1 if run.depletes and nums[0] == 0 else 0  # no paradox at p0 = 0

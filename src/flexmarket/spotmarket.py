@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._numeric import exact_sum, frac, ratio_number, sorted_exact
 from .plants import PowerPlant
@@ -129,17 +129,22 @@ def make_offers(
     return offers
 
 
+def tie_key(phis: Iterable[Fraction]) -> Callable[[Fraction, str], tuple[int, str]]:
+    """The key that orders plants with equal offers, among these scores: a
+    plant's (phi, id) maps to the rank of phi among the distinct scores,
+    highest first, then the id. Equal offers compare on ints and ids."""
+    scores = {(p.numerator, p.denominator): p for p in phis}
+    ascending = sorted_exact(scores, scores.__getitem__, lambda key: 0)
+    rank = {key: -r for r, key in enumerate(ascending)}
+    return lambda phi, plant_id: (rank[phi.numerator, phi.denominator], plant_id)
+
+
 def merit_order(offers: Sequence[Offer]) -> list[Offer]:
     """Ascending by offer price; ties broken by higher phi, then plant id."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    # equal offers are ordered on ints: the rank of their phi among the
-    # distinct scores, highest first, then the plant id
-    scores = {(o.phi.numerator, o.phi.denominator): o.phi for o in offers}
-    ascending = sorted_exact(scores, scores.__getitem__, lambda key: 0)
-    rank = {key: -i for i, key in enumerate(ascending)}
-    return sorted_exact(offers, lambda o: o.offer_price, lambda o: (
-        rank[o.phi.numerator, o.phi.denominator], o.plant_id))
+    key = tie_key(o.phi for o in offers)
+    return sorted_exact(offers, lambda o: o.offer_price, lambda o: key(o.phi, o.plant_id))
 
 
 def _fill(

@@ -19,7 +19,12 @@ from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import market_wide_fee_intensity, total_fee
 
-from flexmarket._numeric import round_half_away
+from flexmarket._numeric import ratio_number
+
+
+def rounded(x):
+    """x rounded to an int, ties away from zero, as reports show it."""
+    return ratio_number(x.numerator, x.denominator, True)
 
 
 def verdict(name: str, ok: bool) -> None:
@@ -45,7 +50,7 @@ def test_criterion_1_offer_table_reproduction():
     for p0, expected in TABLE_II.items():
         result = clear_scenario(toy_grid(p0, 25))
         for offer in result.offers:
-            displayed = int(round_half_away(offer.offer_price))
+            displayed = rounded(offer.offer_price)
             ok &= abs(displayed - expected[offer.plant_id]) <= 1
     verdict("1 offer-price table (both reference prices, +/-1)", ok)
 
@@ -56,7 +61,7 @@ def test_criterion_2_profit_tables():
         result = clear_scenario(toy_grid(p0, 25))
         ok &= set(result.profits) == set(expected)
         for pid, margin in expected.items():
-            ok &= abs(int(round_half_away(result.profits[pid].margin)) - margin) <= 1
+            ok &= abs(rounded(result.profits[pid].margin) - margin) <= 1
     verdict("2 profit tables at q=25 (both reference prices, +/-1)", ok)
 
 

@@ -16,7 +16,7 @@ from flexmarket.capacity import UnallocatableFeeError, build_pool, settle
 from flexmarket.cli import main
 from flexmarket.reports import _disp, _json_bytes
 from flexmarket.scenario import load_scenario
-from test_emit_report_differential import csv_bytes, table_bytes
+from report_oracles import csv_bytes, table_bytes
 
 RUNS = settings(max_examples=150, deadline=None)
 

@@ -4,7 +4,6 @@ against the row-dict emitter it replaced, kept here as the oracle. Also
 `merit_order`, which breaks equal offers on int ranks, against `sorted` on
 the exact key."""
 
-import io
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +16,7 @@ from flexmarket.analysis import clear_scenario, sweep_p0
 from flexmarket.reports import emit_report
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import MarketConfig, Offer, clear, merit_order, total_fee
+from report_oracles import csv_bytes, table_bytes
 from test_clear_differential import scenarios
 from test_emit_sweep_differential import assert_same_report as assert_same_sweep_report
 
@@ -52,28 +52,6 @@ def clearing_rows(result, mode):
             if pid in result.fee_ledger else "",
         })
     return rows
-
-
-def table_bytes(headers, rows):
-    cells = [list(map(str, row)) for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    out = io.StringIO()
-    out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    for row in cells:
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
-    return out.getvalue().encode("utf-8")
-
-
-def csv_bytes(headers, rows):
-    out = io.StringIO()
-    out.write(",".join(headers) + "\n")
-    for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
-    return out.getvalue().encode("utf-8")
 
 
 def row_dict_emit_report(result, format, mode):

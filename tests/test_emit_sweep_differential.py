@@ -15,9 +15,10 @@ from flexmarket.analysis import p0_range, sweep_p0
 from flexmarket._numeric import to_float
 from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant
-from flexmarket.reports import _table, emit_sweep
+from flexmarket.reports import emit_sweep
 from flexmarket.scenario import Scenario, toy_grid
 from flexmarket.spotmarket import MarketConfig
+from report_oracles import table_bytes
 from test_sweep_differential import grids, scenarios
 
 RUNS = settings(max_examples=200, deadline=None)
@@ -63,7 +64,7 @@ def per_point_emit_sweep(sweep, format, mode):
         lines = [",".join(HEADERS)] + [",".join(str(c) for c in row) for row in rows]
         body = ("\n".join(lines) + "\n").encode()
     else:
-        body = _table(HEADERS, rows)
+        body = table_bytes(HEADERS, rows)
     prefix = "# " if format == "csv" else ""
     return body + f"{prefix}change_points: {','.join(map(str, changes))}\n".encode()
 

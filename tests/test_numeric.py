@@ -3,6 +3,7 @@ reporting conversion."""
 
 import time
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,10 +215,10 @@ def test_ratio_column_is_ratio_number_per_value(nums, d, rounded):
         expected = [ratio_number(n, d, rounded) for n in nums]
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            ratio_column(nums, d, rounded)
+            ratio_column(nums, repeat(d), rounded)
         assert str(raised.value) == str(exc)
         return
-    column = ratio_column(nums, d, rounded)
+    column = ratio_column(nums, repeat(d), rounded)
     assert column == expected
     assert list(map(type, column)) == list(map(type, expected))
 

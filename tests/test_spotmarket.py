@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flexmarket._numeric import round_half_away
+from flexmarket._numeric import ratio_number
 from flexmarket.analysis import clear_scenario
 from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant
@@ -88,14 +88,14 @@ class TestClear:
     def test_toy_grid_p0_10_profits(self):
         result = clear_scenario(toy_grid(10, 25))
         assert set(result.dispatch) == {"hydro", "wind", "nuclear", "lignite", "chp"}
-        rounded = {pid: int(round_half_away(p.margin))
+        rounded = {pid: ratio_number(p.margin.numerator, p.margin.denominator, True)
                    for pid, p in result.profits.items()}
         assert rounded == {"wind": 40, "hydro": 50, "chp": 0, "lignite": 2, "nuclear": 37}
 
     def test_toy_grid_p0_70_profits(self):
         result = clear_scenario(toy_grid(70, 25))
         assert set(result.dispatch) == {"hydro", "chp", "wind", "nuclear", "gas"}
-        rounded = {pid: int(round_half_away(p.margin))
+        rounded = {pid: ratio_number(p.margin.numerator, p.margin.denominator, True)
                    for pid, p in result.profits.items()}
         assert rounded == {"wind": 27, "hydro": 95, "chp": 37, "gas": 0, "nuclear": 24}
 
