@@ -11,13 +11,7 @@ from .capacity import (
     eligible_plants,
     settle,
 )
-from .flexibility import (
-    FlexibilityMeasure,
-    MeasureValidationReport,
-    StartUpTime,
-    hyperbolic_measure,
-    validate_measure,
-)
+from .flexibility import StartUpTime, flexibility, validate_measure
 from .plants import PowerPlant, flexibilities_for
 from .reports import emit_report, emit_settlement, emit_sweep
 from .scenario import (

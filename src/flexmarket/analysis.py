@@ -40,6 +40,8 @@ class P0Grid:
     makes nums a range. An index gives a Fraction, a slice a P0Grid."""
 
     def __init__(self, nums: Sequence[int], den: int) -> None:
+        if den <= 0:
+            raise ValueError(f"p0 grid denominator must be > 0, got {den}")
         self.nums, self.den = nums, den
 
     def __len__(self) -> int:

@@ -93,7 +93,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     print(
         f"OK: {len(scenario.plants)} plants, demand "
-        f"{to_number(scenario.market.demand)} MW, measure {scenario.measure_name}"
+        f"{to_number(scenario.market.demand)} MW, measure hyperbolic"
     )
     return EXIT_OK
 

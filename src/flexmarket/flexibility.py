@@ -1,34 +1,28 @@
-"""Operational-flexibility measures.
+"""Operational flexibility of a plant.
 
-A measure maps a plant's guaranteed start-up time (hours) to a score in
-[0, 1]: strictly decreasing, approaching 1 for instantaneous start-up and 0
-for arbitrarily slow plants. A plant with no guaranteed start-up at all
-(e.g. a wind turbine) scores exactly 0.
+The flexibility of a plant with guaranteed start-up time t (hours) is
+phi = 1/(t + 1): strictly decreasing, 1 for instantaneous start-up and
+approaching 0 for arbitrarily slow plants. A plant with no guaranteed
+start-up at all (e.g. a wind turbine) scores exactly 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._numeric import frac
 
-__all__ = [
-    "StartUpTime",
-    "FlexibilityMeasure",
-    "MeasureValidationReport",
-    "hyperbolic_measure",
-    "validate_measure",
-]
+__all__ = ["StartUpTime", "flexibility", "validate_measure"]
 
 
 @dataclass(frozen=True)
 class StartUpTime:
     """Guaranteed start-up time in hours; `hours is None` means unbounded.
 
-    Unbounded is a first-class value, not a large finite surrogate: it maps
-    to a flexibility of exactly zero under every measure.
+    Unbounded is a first-class value, not a large finite surrogate: its
+    flexibility is exactly zero.
     """
 
     hours: Fraction | None
@@ -40,54 +34,13 @@ class StartUpTime:
                 raise ValueError(f"start-up time must be >= 0, got {h}")
             object.__setattr__(self, "hours", h)
 
-    @classmethod
-    def of(cls, hours: int | float | str | Fraction) -> "StartUpTime":
-        return cls(frac(hours))
 
-    @classmethod
-    def unbounded(cls) -> "StartUpTime":
-        return cls(None)
-
-    @property
-    def is_unbounded(self) -> bool:
-        return self.hours is None
-
-
-@dataclass(frozen=True)
-class FlexibilityMeasure:
-    """A named scoring function over finite start-up times.
-
-    The wrapped function only ever sees finite hours; unbounded start-up is
-    short-circuited to exactly 0 here so every measure satisfies it.
-    """
-
-    name: str
-    fn: Callable[[Fraction], Fraction] = field(repr=False)
-
-    def __call__(self, t: StartUpTime) -> Fraction:
-        if t.is_unbounded:
-            return Fraction(0)
-        score = self.fn(t.hours)
-        return score if type(score) is Fraction else Fraction(score)
-
-
-def _hyperbolic(x: Fraction) -> Fraction:
-    # 1 / (n/d + 1) = d / (n + d)
-    return Fraction(x.denominator, x.numerator + x.denominator)
-
-
-def hyperbolic_measure() -> FlexibilityMeasure:
-    """The default measure: score(x) = 1 / (x + 1)."""
-    return FlexibilityMeasure("hyperbolic", _hyperbolic)
-
-
-@dataclass(frozen=True)
-class MeasureValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
+def flexibility(t: StartUpTime) -> Fraction:
+    """phi = 1/(t + 1), and 0 for an unbounded start-up time."""
+    if t.hours is None:
+        return Fraction(0)
+    n, d = t.hours.numerator, t.hours.denominator
+    return Fraction(d, n + d)  # 1 / (n/d + 1)
 
 
 # the near-limit checks of validate_measure: score(0.001) >= 0.99 and
@@ -97,20 +50,20 @@ NEAR_ZERO_PROBE, NEAR_ZERO_MAX = Fraction(1000), Fraction(1, 100)
 
 
 def validate_measure(
-    measure: FlexibilityMeasure, probe_grid: Sequence[StartUpTime]
-) -> MeasureValidationReport:
+    measure: Callable[[StartUpTime], Fraction], probe_grid: Sequence[StartUpTime]
+) -> tuple[str, ...]:
     """Check the measure axioms on a finite probe grid.
 
     The axioms are asymptotic, so this is the testable surrogate: strict
     monotone decrease and range [0, 1] across the grid, plus near-limit
     checks at two fixed probes (score(0.001) >= 0.99 and score(1000) <=
-    0.01). An empty violation list means valid on the grid.
+    0.01). Returns the violations; an empty tuple means valid on the grid.
     """
     if not probe_grid:
         raise ValueError("probe grid must not be empty")
     hours = []
     for i, t in enumerate(probe_grid):
-        if t.is_unbounded:
+        if t.hours is None:
             raise ValueError(f"probe_grid[{i}]: probes must be finite")
         hours.append(t.hours)
     if any(a >= b for a, b in zip(hours, hours[1:])):
@@ -136,9 +89,4 @@ def validate_measure(
         violations.append(
             f"limit: score({NEAR_ZERO_PROBE}) = {hi} > {NEAR_ZERO_MAX} (should approach 0)"
         )
-    return MeasureValidationReport(tuple(violations))
-
-
-BUILTIN_MEASURES: dict[str, Callable[[], FlexibilityMeasure]] = {
-    "hyperbolic": hyperbolic_measure,
-}
+    return tuple(violations)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
 from .capacity import CapacityConfig, reserve_candidates
-from .flexibility import BUILTIN_MEASURES, FlexibilityMeasure, StartUpTime
+from .flexibility import StartUpTime
 from .plants import PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
 
@@ -44,7 +44,7 @@ class ScenarioParseError(ScenarioError):
 
 
 class UnknownMeasureError(ScenarioError):
-    """The named flexibility measure is not a built-in."""
+    """The document names a flexibility measure other than "hyperbolic"."""
 
 
 class DuplicatePlantIdError(ScenarioError):
@@ -57,18 +57,17 @@ class InvalidNumberError(ScenarioError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Plants, market and capacity settings, and the flexibility measure.
+    """Plants, market and capacity settings.
 
     Construction checks the rules that span the parts: at least one plant,
-    unique plant ids, a built-in measure, and an explicit participant list
-    of known, eligible plants (only the listed plants are scored for it).
+    unique plant ids, and an explicit participant list of known, eligible
+    plants (only the listed plants are scored for it).
     Each error is a `ScenarioError` that names the section at fault.
     """
 
     plants: tuple[PowerPlant, ...]
     market: MarketConfig
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
-    measure_name: str = "hyperbolic"
 
     def __post_init__(self) -> None:
         if not self.plants:
@@ -78,23 +77,16 @@ class Scenario:
             if p.id in by_id:
                 raise DuplicatePlantIdError(f"plants: duplicate plant id {p.id!r}")
             by_id[p.id] = p
-        if self.measure_name not in BUILTIN_MEASURES:
-            raise UnknownMeasureError(f"measure: unknown measure {self.measure_name!r}")
         pinned = self.capacity.participants
         if pinned is not None:
             listed = [by_id[pid] for pid in pinned if pid in by_id]
             try:
-                reserve_candidates(
-                    self.plants, flexibilities_for(listed, self.measure()), self.capacity
-                )
+                reserve_candidates(self.plants, flexibilities_for(listed), self.capacity)
             except ValueError as exc:
                 raise ScenarioParseError(f"capacity.participants: {exc}") from None
 
-    def measure(self) -> FlexibilityMeasure:
-        return BUILTIN_MEASURES[self.measure_name]()
-
     def flexibilities(self) -> dict[str, Fraction]:
-        return flexibilities_for(self.plants, self.measure())
+        return flexibilities_for(self.plants)
 
 
 # The keys each level of a scenario document may have.
@@ -154,9 +146,6 @@ def _number(raw: object, path: str) -> Fraction:
 
 def _plant_from_record(record: dict, path: str) -> PowerPlant:
     _check_keys(record, _PLANT_KEYS, path)
-    pid = record.get("id")
-    if not isinstance(pid, str):
-        raise ScenarioParseError(f"{path}.id: expected a string, got {pid!r}")
     raw_hours = record.get("start_up_time_h")
     hours = (
         None if isinstance(raw_hours, str) and raw_hours == "inf"
@@ -167,7 +156,7 @@ def _plant_from_record(record: dict, path: str) -> PowerPlant:
     )
     capacity = _number(record.get("capacity_mw"), f"{path}.capacity_mw")
     try:
-        return PowerPlant(pid, StartUpTime(hours), mc, capacity)
+        return PowerPlant(record.get("id"), StartUpTime(hours), mc, capacity)
     except ValueError as exc:
         raise InvalidNumberError(f"{path}: {exc}") from None
 
@@ -216,10 +205,12 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     except ValueError as exc:  # its messages start with the field's name
         raise ScenarioParseError(f"capacity.{exc}") from None
 
-    measure_name = doc.get("measure", "hyperbolic")
-    if not isinstance(measure_name, str):
-        raise ScenarioParseError(f"measure: expected a measure name, got {measure_name!r}")
-    return Scenario(tuple(plants), config, capacity, measure_name)
+    measure = doc.get("measure", "hyperbolic")
+    if not isinstance(measure, str):
+        raise ScenarioParseError(f"measure: expected a measure name, got {measure!r}")
+    if measure != "hyperbolic":
+        raise UnknownMeasureError(f"measure: unknown measure {measure!r}")
+    return Scenario(tuple(plants), config, capacity)
 
 
 def _scenario_from_csv(text: str) -> Scenario:
@@ -281,20 +272,5 @@ def toy_grid(
         ("lignite", "9", 40),
         ("nuclear", "50", 5),
     ]
-    plants = tuple(
-        PowerPlant(
-            id=pid,
-            start_up_time=StartUpTime.unbounded()
-            if hours is None
-            else StartUpTime.of(hours),
-            marginal_cost=Fraction(mc),
-            capacity=Fraction(5),
-        )
-        for pid, hours, mc in rows
-    )
-    return Scenario(
-        plants=plants,
-        market=MarketConfig(
-            reference_price_p0=frac(p0), demand=frac(demand), period=Fraction(1)
-        ),
-    )
+    plants = tuple(PowerPlant(pid, StartUpTime(hours), mc, 5) for pid, hours, mc in rows)
+    return Scenario(plants, MarketConfig(p0, demand))

@@ -23,7 +23,6 @@ from .plants import PowerPlant
 __all__ = [
     "MarketConfig",
     "Offer",
-    "Profit",
     "ClearingResult",
     "make_offers",
     "merit_order",
@@ -66,13 +65,6 @@ class Offer:
 
 
 @dataclass(frozen=True)
-class Profit:
-    """Per-plant profit margin (EUR/MWh): the clearing price less the offer."""
-
-    margin: Fraction
-
-
-@dataclass(frozen=True)
 class ClearingResult:
     """One clearing. The dispatched plants (MW) are the first of the offers
     in merit order; their fees and margins are derived when read."""
@@ -91,9 +83,10 @@ class ClearingResult:
                 for o, mw in zip(self.offers, self.dispatch.values())}
 
     @cached_property
-    def profits(self) -> dict[str, Profit]:
-        """Each dispatched plant's margin: the clearing price less its offer."""
-        return {o.plant_id: Profit(self.clearing_price - o.offer_price)
+    def profits(self) -> dict[str, Fraction]:
+        """Each dispatched plant's margin (EUR/MWh): the clearing price less
+        its offer."""
+        return {o.plant_id: self.clearing_price - o.offer_price
                 for o in self.offers[:len(self.dispatch)]}
 
     @property

@@ -61,7 +61,7 @@ def test_criterion_2_profit_tables():
         result = clear_scenario(toy_grid(p0, 25))
         ok &= set(result.profits) == set(expected)
         for pid, margin in expected.items():
-            ok &= abs(rounded(result.profits[pid].margin) - margin) <= 1
+            ok &= abs(rounded(result.profits[pid]) - margin) <= 1
     verdict("2 profit tables at q=25 (both reference prices, +/-1)", ok)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from flexmarket.analysis import (
     MAX_GRID_POINTS,
+    P0Grid,
     clear_scenario,
     p0_range,
     sweep_p0,
@@ -16,7 +17,7 @@ from flexmarket.spotmarket import MarketConfig
 
 
 def single_plant_scenario():
-    plant = PowerPlant("only", StartUpTime.of(1), Fraction(10), Fraction(5))
+    plant = PowerPlant("only", StartUpTime(1), Fraction(10), Fraction(5))
     return Scenario(plants=(plant,), market=MarketConfig(0, 3))
 
 
@@ -154,3 +155,10 @@ class TestP0Range:
                 p0_range(Fraction(0), Fraction(-3), step)
             with pytest.raises(ScenarioError, match="step must be > 0"):
                 p0_range(Fraction(0), Fraction(1), step)
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_grid_denominator_must_be_positive(self, den):
+        # a denominator of -1 once swept p0 = 0, -10, ..., -80 and reported
+        # a negative C_f
+        with pytest.raises(ValueError, match="denominator must be > 0"):
+            P0Grid(range(0, 81, 10), den)

@@ -31,3 +31,24 @@ def test_every_span_target_resolves(spans):
         if not callable(owner):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["clear"],
+    ["capacity", "--format", "json"],
+    ["sweep", "--p0-grid", "0:80:10"],
+])
+def test_traced_run_loses_no_counter(spans, argv):
+    # a counter that fails on a renamed result field is noted as missing
+    # instead of failing the run, and its count would read 0
+    from flexmarket import cli
+
+    argv = [argv[0], str(ROOT / "scenarios" / "toy-grid.json"), *argv[1:]]
+    _, code, untraced = spans.in_process(cli.main, argv)
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        _, traced_code, traced = spans.in_process(cli.main, argv)
+    assert tracer.missing == []
+    assert (code, traced_code) == (0, 0)
+    assert traced == untraced
+    assert tracer.spans  # the wrappers were in place

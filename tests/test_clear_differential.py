@@ -37,7 +37,7 @@ def reference_clearing(scenario):
     fill loop on Fractions."""
     config = scenario.market
     phi = {
-        p.id: Fraction(0) if p.start_up_time.is_unbounded
+        p.id: Fraction(0) if p.start_up_time.hours is None
         else 1 / (p.start_up_time.hours + 1)
         for p in scenario.plants
     }
@@ -80,7 +80,7 @@ def observed(result):
         "dispatch": result.dispatch,
         "clearing_price": result.clearing_price,
         "fee_ledger": result.fee_ledger,
-        "profits": {pid: p.margin for pid, p in result.profits.items()},
+        "profits": result.profits,
         "total_fee_cf": result.total_fee_cf,
         "total_capacity": result.total_capacity,
         "blackout": result.blackout,
@@ -101,9 +101,7 @@ def scenarios(draw):
         plants.append(
             PowerPlant(
                 id=f"plant{i:02d}",
-                start_up_time=StartUpTime.unbounded()
-                if hours is None
-                else StartUpTime(hours),
+                start_up_time=StartUpTime(hours),
                 marginal_cost=draw(money),
                 capacity=draw(capacity_mw),
             )

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from flexmarket import cli
 from flexmarket.cli import main
-from flexmarket.flexibility import BUILTIN_MEASURES, hyperbolic_measure
+from flexmarket import plants
 
 
 def run(capsys, *argv):
@@ -76,12 +75,14 @@ class TestValidate:
 
     def test_load_scores_only_pinned_plants(self, capsys, monkeypatch, toy_grid_path):
         scored = []
+        score = plants.flexibility
 
-        def counting_measure():
-            measure = hyperbolic_measure()
-            return replace(measure, fn=lambda hours: scored.append(hours) or measure.fn(hours))
+        def counting(t):  # counts the plants with a finite start-up time
+            if t.hours is not None:
+                scored.append(t.hours)
+            return score(t)
 
-        monkeypatch.setitem(BUILTIN_MEASURES, "hyperbolic", counting_measure)
+        monkeypatch.setattr(plants, "flexibility", counting)
         pinned = str(toy_grid_path.parent / "toy-grid-pinned.json")
         assert run(capsys, "validate", str(toy_grid_path))[0] == 0
         assert scored == []  # an auto pool is scored where it is built
@@ -92,6 +93,23 @@ class TestValidate:
         # the three pinned plants at load, then every plant with a finite
         # start-up time once for the clearing
         assert len(scored) == 3 + 7
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc.update(measure="cubic"), "measure: unknown measure 'cubic'"),
+        (lambda doc: doc["plants"][1].update(id=7),
+         "plants[1]: plant id must be a non-empty string, got 7"),
+    ])
+    def test_rule_checked_outside_the_parser_exit_1(self, capsys, tmp_path, toy_grid_path,
+                                                    mutate, message):
+        # the measure is checked by the parser alone, and a plant's id by
+        # PowerPlant, which adds the plant's path
+        doc = json.loads(toy_grid_path.read_text())
+        mutate(doc)
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_duplicate_key_exit_1(self, capsys, tmp_path, toy_grid_path):
         # once validated as the later 500 MW and exited 0

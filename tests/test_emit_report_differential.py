@@ -47,7 +47,7 @@ def clearing_rows(result, mode):
             "offer_eur_per_mwh": shown(offer.offer_price, mode),
             "capacity_mw": to_number(offer.capacity),
             "dispatch_mw": to_number(dispatched) if dispatched is not None else 0,
-            "profit_margin_eur_per_mwh": shown(profit.margin, mode) if profit else "",
+            "profit_margin_eur_per_mwh": shown(profit, mode) if profit is not None else "",
             "fee_eur_per_h": shown(result.fee_ledger[pid], mode)
             if pid in result.fee_ledger else "",
         })

@@ -85,8 +85,7 @@ def assert_same_report(sweep):
 
 
 def plant(pid, start_up, mc, capacity=5):
-    hours = StartUpTime.unbounded() if start_up is None else StartUpTime(start_up)
-    return PowerPlant(pid, hours, Fraction(mc), Fraction(capacity))
+    return PowerPlant(pid, StartUpTime(start_up), Fraction(mc), Fraction(capacity))
 
 
 def assert_halves_round_away_from_zero(grid):

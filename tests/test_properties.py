@@ -6,7 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.capacity import CapacityConfig, CapacityPool, build_pool, settle
-from flexmarket.flexibility import StartUpTime, hyperbolic_measure
+from flexmarket.flexibility import StartUpTime, flexibility
 from flexmarket.plants import PowerPlant, flexibilities_for
 from flexmarket.spotmarket import MarketConfig, clear, make_offers
 
@@ -29,9 +29,7 @@ def plant_lists(draw, min_size=1, max_size=12):
         plants.append(
             PowerPlant(
                 id=f"plant{i:02d}",
-                start_up_time=StartUpTime.unbounded()
-                if hours is None
-                else StartUpTime(hours),
+                start_up_time=StartUpTime(hours),
                 marginal_cost=draw(money),
                 capacity=draw(capacity_mw),
             )
@@ -79,7 +77,7 @@ class TestSettlementProperties:
     def test_payments_sum_to_cf_whenever_settle_returns(self, plants, cf, data):
         # any pool build_pool accepts, from the auto rule or an explicit list
         # that may repeat ids or name dispatched plants, with or without overlap
-        phis = flexibilities_for(plants, hyperbolic_measure())
+        phis = flexibilities_for(plants)
         ids = [p.id for p in plants]
         eligible = [pid for pid in ids if phis[pid] > Fraction(1, 2)]
         dispatched = data.draw(st.sets(st.sampled_from(ids)))
@@ -129,7 +127,7 @@ class TestClearingProperties:
     @given(markets(demand_over_capacity=True))
     def test_dispatch_conservation(self, market):
         plants, config = market
-        phis = flexibilities_for(plants, hyperbolic_measure())
+        phis = flexibilities_for(plants)
         result = clear(make_offers(plants, phis, config), config)
         assert sum(result.dispatch.values(), Fraction(0)) == min(
             config.demand, result.total_capacity
@@ -154,9 +152,9 @@ class TestClearingProperties:
     @given(markets())
     def test_dispatched_profits_nonnegative(self, market):
         plants, config = market
-        phis = flexibilities_for(plants, hyperbolic_measure())
+        phis = flexibilities_for(plants)
         result = clear(make_offers(plants, phis, config), config)
-        assert all(p.margin >= 0 for p in result.profits.values())
+        assert all(m >= 0 for m in result.profits.values())
 
 
 def brute_force_min_cost(offers, capacities, demand):
@@ -194,7 +192,7 @@ class TestDispatchOracle:
     @given(markets(plants_strategy=plant_lists(max_size=8)))
     def test_merit_dispatch_is_cost_minimal(self, market):
         plants, config = market
-        phis = flexibilities_for(plants, hyperbolic_measure())
+        phis = flexibilities_for(plants)
         offers = make_offers(plants, phis, config)
         result = clear(offers, config)
         if result.blackout or config.demand == 0:
@@ -216,13 +214,12 @@ class TestMeasureProperties:
     @given(st.lists(st.fractions(min_value=0, max_value=1000, max_denominator=40),
                     min_size=2, max_size=12, unique=True))
     def test_hyperbolic_strictly_decreasing_on_random_grids(self, hours):
-        m = hyperbolic_measure()
-        scores = [m(StartUpTime(h)) for h in sorted(hours)]
+        scores = [flexibility(StartUpTime(h)) for h in sorted(hours)]
         assert all(a > b for a, b in zip(scores, scores[1:]))
         assert all(0 < s <= 1 for s in scores)
 
     @RUNS
     @given(st.fractions(min_value=0, max_value=10**6, max_denominator=100))
     def test_hyperbolic_identity(self, hours):
-        score = hyperbolic_measure()(StartUpTime(hours))
+        score = flexibility(StartUpTime(hours))
         assert score * (hours + 1) == 1

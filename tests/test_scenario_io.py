@@ -60,7 +60,7 @@ class TestLoadScenario:
     def test_inf_start_up_time(self, toy_grid_path):
         scenario = load_scenario(toy_grid_path)
         wind = next(p for p in scenario.plants if p.id == "wind")
-        assert wind.start_up_time.is_unbounded
+        assert wind.start_up_time.hours is None
 
     def test_duplicate_id(self, tmp_path):
         doc = minimal_doc()
@@ -197,7 +197,7 @@ class TestLoadScenario:
         )
         scenario = load_scenario(write(tmp_path, "plants.csv", csv_text))
         assert len(scenario.plants) == 2
-        assert scenario.plants[1].start_up_time.is_unbounded
+        assert scenario.plants[1].start_up_time.hours is None
 
     def test_csv_missing_column(self, tmp_path):
         with pytest.raises(ScenarioParseError):
@@ -315,7 +315,7 @@ _SECTIONS = ("plants", "market", "capacity", "measure", "scenario document")
 
 # Values that break one scenario rule each, written over a valid document.
 _BREAKS = [
-    (("plants", 1, "id"), "p0"), (("plants", 1, "id"), ""),
+    (("plants", 1, "id"), "p0"), (("plants", 1, "id"), ""), (("plants", 1, "id"), 7),
     (("plants", 1, "start_up_time_h"), -1),
     (("plants", 1, "marginal_cost_eur_per_mwh"), "-1/2"),
     (("plants", 1, "capacity_mw"), 0),
@@ -324,15 +324,15 @@ _BREAKS = [
     (("capacity", "threshold"), 0), (("capacity", "threshold"), 1),
     (("capacity", "participants"), ["p0", "p0"]),
     (("capacity", "participants"), ["ghost"]),
-    (("measure",), "cubic"), (("plants",), []),
+    (("plants",), []),
 ]
 
 
 @st.composite
 def documents(draw):
     """Scenario documents, about half of them with one or two rules broken:
-    repeated or empty ids, negative numbers, a zero capacity or period,
-    thresholds of 0 and 1, an unknown measure, no plants, and pinned lists
+    repeated, empty or non-string ids, negative numbers, a zero capacity or
+    period, thresholds of 0 and 1, no plants, and pinned lists
     with unknown or repeated ids. A pinned plant is ineligible whenever its
     start-up time is too long for the threshold."""
     n = draw(st.integers(min_value=1, max_value=4))
@@ -370,7 +370,7 @@ def scenario_in_python(doc):
     plants = tuple(
         PowerPlant(
             p["id"],
-            StartUpTime.unbounded() if p["start_up_time_h"] == "inf"
+            StartUpTime(None) if p["start_up_time_h"] == "inf"
             else StartUpTime(Fraction(p["start_up_time_h"])),
             Fraction(p["marginal_cost_eur_per_mwh"]),
             Fraction(p["capacity_mw"]),
@@ -386,7 +386,7 @@ def scenario_in_python(doc):
         None if participants == "auto" else tuple(participants),
         cap["allow_overlap"],
     )
-    return Scenario(plants, market, capacity, doc["measure"])
+    return Scenario(plants, market, capacity)
 
 
 class TestFileAndPythonAgree:

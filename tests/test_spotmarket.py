@@ -19,7 +19,7 @@ from flexmarket.spotmarket import (
 
 
 def simple_plant(pid, mc=10, cap=5, hours="1"):
-    return PowerPlant(pid, StartUpTime.of(hours), Fraction(mc), Fraction(cap))
+    return PowerPlant(pid, StartUpTime(hours), Fraction(mc), Fraction(cap))
 
 
 ORDER_P0_10 = ("hydro", "wind", "nuclear", "lignite", "chp", "ccgt", "coal", "gas")
@@ -28,7 +28,7 @@ ORDER_P0_70 = ("hydro", "chp", "wind", "nuclear", "gas", "lignite", "ccgt", "coa
 
 class TestMakeOffers:
     def test_wind_offer(self):
-        plants = [PowerPlant("wind", StartUpTime.unbounded(), Fraction(1), Fraction(5))]
+        plants = [PowerPlant("wind", StartUpTime(None), Fraction(1), Fraction(5))]
         (offer,) = make_offers(plants, {"wind": Fraction(0)}, MarketConfig(10, 25))
         assert offer.offer_price == 11
         assert offer.fee_rate == 10
@@ -88,15 +88,15 @@ class TestClear:
     def test_toy_grid_p0_10_profits(self):
         result = clear_scenario(toy_grid(10, 25))
         assert set(result.dispatch) == {"hydro", "wind", "nuclear", "lignite", "chp"}
-        rounded = {pid: ratio_number(p.margin.numerator, p.margin.denominator, True)
-                   for pid, p in result.profits.items()}
+        rounded = {pid: ratio_number(m.numerator, m.denominator, True)
+                   for pid, m in result.profits.items()}
         assert rounded == {"wind": 40, "hydro": 50, "chp": 0, "lignite": 2, "nuclear": 37}
 
     def test_toy_grid_p0_70_profits(self):
         result = clear_scenario(toy_grid(70, 25))
         assert set(result.dispatch) == {"hydro", "chp", "wind", "nuclear", "gas"}
-        rounded = {pid: ratio_number(p.margin.numerator, p.margin.denominator, True)
-                   for pid, p in result.profits.items()}
+        rounded = {pid: ratio_number(m.numerator, m.denominator, True)
+                   for pid, m in result.profits.items()}
         assert rounded == {"wind": 27, "hydro": 95, "chp": 37, "gas": 0, "nuclear": 24}
 
     def test_clearing_price_p0_10_unrounded(self):
@@ -156,7 +156,7 @@ class TestClear:
 
     def test_marginal_margin_zero_and_others_nonnegative(self):
         result = clear_scenario(toy_grid(70, 25))
-        margins = [result.profits[pid].margin for pid in result.dispatch]
+        margins = [result.profits[pid] for pid in result.dispatch]
         assert all(m >= 0 for m in margins)
         assert min(margins) == 0
 

@@ -20,7 +20,7 @@ from flexmarket.capacity import (
     build_pool,
     settle,
 )
-from flexmarket.flexibility import StartUpTime, hyperbolic_measure
+from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant, flexibilities_for
 from flexmarket.scenario import Scenario, toy_grid
 from flexmarket.spotmarket import MarketConfig
@@ -93,9 +93,7 @@ def scenarios(draw):
         plants.append(
             PowerPlant(
                 id=f"plant{i:02d}",
-                start_up_time=StartUpTime.unbounded()
-                if hours is None
-                else StartUpTime(hours),
+                start_up_time=StartUpTime(hours),
                 marginal_cost=draw(money),
                 capacity=draw(capacity_mw),
             )
@@ -109,7 +107,7 @@ def scenarios(draw):
                      max_denominator=100)
     )
     # the auto pool, or a pinned list of eligible plants (possibly empty)
-    phi = flexibilities_for(plants, hyperbolic_measure())
+    phi = flexibilities_for(plants)
     eligible = [p.id for p in plants if phi[p.id] > threshold]
     pinned = st.lists(st.sampled_from(eligible), unique=True) if eligible else st.just([])
     participants = draw(st.none() | pinned.map(tuple))
