@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers.
+"""Exact rational arithmetic helpers, and the base of validated model types.
 
 All money (EUR/MWh, EUR/h) and power (MW) quantities are carried as
 `fractions.Fraction` so that intermediate results stay unrounded; rounding
@@ -50,6 +50,17 @@ def frac(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, str):
         return parse_number(value)
     raise TypeError(f"cannot interpret {value!r} as a number")
+
+
+class Validated:
+    """First base of a model type whose `__new__` checks a NamedTuple's fields:
+    `_make`, and so `_replace`, go through `__new__`: a copy is checked again."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls: type[T], fields: Iterable[Any]) -> T:
+        return cls(*fields)
 
 
 def parse_number(text: str) -> Fraction:

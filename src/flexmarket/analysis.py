@@ -7,7 +7,6 @@ spot market empties the reserve while C_f > 0, leaving nobody to pay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -52,8 +51,7 @@ class P0Grid:
         return P0Grid(nums, self.den) if isinstance(i, slice) else Fraction(nums, self.den)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     p0: Fraction
     clearing_price: Fraction
     merit_order: tuple[str, ...]
@@ -66,10 +64,8 @@ class SweepPoint:
 class SweepRun(NamedTuple):
     """The grid points from index `start` up to the next run's start, which
     share one merit order. Their dispatch is fixed, so the clearing price is
-    price_base + price_slope·p0 and C_f is fee_slope·p0.
-
-    A NamedTuple, not a frozen dataclass: its class is built about 1 ms
-    faster, which every CLI call pays at import."""
+    price_base + price_slope·p0 and C_f is fee_slope·p0. A NamedTuple, like
+    every plain record of the model."""
 
     start: int
     merit_order: tuple[str, ...]
@@ -86,13 +82,12 @@ class SweepRun(NamedTuple):
         return is_paradox(self.reserve, self.fee_slope)
 
 
-@dataclass(frozen=True)
 class SweepResult:
     """A sweep's grid, as ints over one denominator, and its runs in grid
     order. The points and the change points are derived from them."""
 
-    grid: P0Grid
-    runs: tuple[SweepRun, ...]
+    def __init__(self, grid: P0Grid, runs: tuple[SweepRun, ...]) -> None:
+        self.grid, self.runs = grid, runs
 
     def pieces(self) -> Iterator[tuple[SweepRun, P0Grid]]:
         """Each run with its part of the grid."""
@@ -128,7 +123,7 @@ def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingRe
     """Run one spot clearing of the scenario, optionally overriding p0."""
     config = scenario.market
     if p0 is not None:
-        config = replace(config, reference_price_p0=frac(p0))
+        config = config._replace(reference_price_p0=p0)
     offers = make_offers(scenario.plants, scenario.flexibilities(), config)
     return clear(offers, config)
 

@@ -9,11 +9,10 @@ reserve and the depletion paradox from the rule here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Collection, Container, Iterable, Mapping, Sequence
+from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import exact_sum, frac, sorted_exact
+from ._numeric import Validated, exact_sum, frac, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
@@ -28,21 +27,26 @@ class UnallocatableFeeError(ValueError):
     depletion paradox (`is_paradox`)."""
 
 
-@dataclass(frozen=True)
-class CapacityConfig:
+class _CapacityConfigFields(NamedTuple):
+    threshold: Fraction
+    participants: tuple[str, ...] | None
+    allow_overlap: bool
+
+
+class CapacityConfig(Validated, _CapacityConfigFields):
     """Eligibility threshold in (0, 1), the reserve participants (None for
     "auto", else distinct plant ids) and whether dispatched plants may join."""
 
-    threshold: Fraction = Fraction(1, 2)
-    participants: tuple[str, ...] | None = None
-    allow_overlap: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", frac(self.threshold))
-        if not (0 < self.threshold < 1):
+    def __new__(cls, threshold: Fraction = Fraction(1, 2),
+                participants: tuple[str, ...] | None = None,
+                allow_overlap: bool = False) -> CapacityConfig:
+        threshold = frac(threshold)
+        if not (0 < threshold < 1):
             raise ValueError("threshold: must lie in (0, 1)")
         seen: set[str] = set()
-        for i, pid in enumerate(self.participants or ()):
+        for i, pid in enumerate(participants or ()):
             if not isinstance(pid, str):
                 raise ValueError(
                     f"participants[{i}]: expected a plant id string, got {pid!r}"
@@ -50,28 +54,34 @@ class CapacityConfig:
             if pid in seen:
                 raise ValueError(f"participants[{i}]: plant id {pid!r} is listed twice")
             seen.add(pid)
-        if not isinstance(self.allow_overlap, bool):
+        if not isinstance(allow_overlap, bool):
             raise ValueError(
-                f"allow_overlap: expected true or false, got {self.allow_overlap!r}"
+                f"allow_overlap: expected true or false, got {allow_overlap!r}"
             )
+        return super().__new__(cls, threshold, participants, allow_overlap)
 
 
-@dataclass(frozen=True)
-class CapacityPool:
+class _CapacityPoolFields(NamedTuple):
+    participants: tuple[tuple[str, Fraction, Fraction], ...]
+    eligibility_threshold: Fraction
+
+
+class CapacityPool(Validated, _CapacityPoolFields):
     """Reserve participants as (plant_id, phi, capacity_mw) triples."""
 
-    participants: tuple[tuple[str, Fraction, Fraction], ...]
-    eligibility_threshold: Fraction = Fraction(1, 2)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for pid, phi, cap in self.participants:
-            if not phi > self.eligibility_threshold:
+    def __new__(cls, participants: tuple[tuple[str, Fraction, Fraction], ...],
+                eligibility_threshold: Fraction = Fraction(1, 2)) -> CapacityPool:
+        for pid, phi, cap in participants:
+            if not phi > eligibility_threshold:
                 raise ValueError(
                     f"{pid}: phi = {phi} does not exceed threshold "
-                    f"{self.eligibility_threshold}"
+                    f"{eligibility_threshold}"
                 )
             if cap <= 0:
                 raise ValueError(f"{pid}: capacity must be > 0")
+        return super().__new__(cls, participants, eligibility_threshold)
 
     @property
     def p_flex(self) -> Fraction:
@@ -79,8 +89,7 @@ class CapacityPool:
         return exact_sum(phi * cap for _, phi, cap in self.participants)
 
 
-@dataclass(frozen=True)
-class CapacitySettlement:
+class CapacitySettlement(NamedTuple):
     payments: dict[str, Fraction]
     source_fee_cf: Fraction
 
@@ -144,7 +153,7 @@ def build_pool(
     """The reserve pool: `reserve_candidates`, then `reserve_members`."""
     candidates = reserve_candidates(plants, phi, config)
     members = reserve_members(candidates, config, set(dispatched))
-    return replace(candidates, participants=members)
+    return candidates._replace(participants=members)
 
 
 def is_paradox(reserve: Collection[object], cf: Fraction) -> bool:

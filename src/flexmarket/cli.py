@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ._numeric import frac, to_number
@@ -101,9 +100,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_clear(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.demand is not None:
-        scenario = replace(
-            scenario, market=replace(scenario.market, demand=frac(args.demand))
-        )
+        market = scenario.market._replace(demand=frac(args.demand))
+        scenario = scenario._replace(market=market)
     result = clear_scenario(
         scenario, frac(args.p0) if args.p0 is not None else None
     )
@@ -130,7 +128,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     cf = result.total_fee_cf if args.cf is None else frac(args.cf)
     config = scenario.capacity
     if args.allow_overlap:
-        config = replace(config, allow_overlap=True)
+        config = config._replace(allow_overlap=True)
     phi = {offer.plant_id: offer.phi for offer in result.offers}  # scored once
     pool = build_pool(scenario.plants, phi, config, result.dispatch)
     try:

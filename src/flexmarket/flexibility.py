@@ -8,31 +8,33 @@ start-up at all (e.g. a wind turbine) scores exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from ._numeric import frac
+from ._numeric import Validated, frac
 
 __all__ = ["StartUpTime", "flexibility", "validate_measure"]
 
 
-@dataclass(frozen=True)
-class StartUpTime:
+class _StartUpTimeFields(NamedTuple):
+    hours: Fraction | None
+
+
+class StartUpTime(Validated, _StartUpTimeFields):
     """Guaranteed start-up time in hours; `hours is None` means unbounded.
 
     Unbounded is a first-class value, not a large finite surrogate: its
     flexibility is exactly zero.
     """
 
-    hours: Fraction | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.hours is not None:
-            h = frac(self.hours)
-            if h.numerator < 0:
-                raise ValueError(f"start-up time must be >= 0, got {h}")
-            object.__setattr__(self, "hours", h)
+    def __new__(cls, hours: Fraction | None) -> StartUpTime:
+        if hours is not None:
+            hours = frac(hours)
+            if hours.numerator < 0:
+                raise ValueError(f"start-up time must be >= 0, got {hours}")
+        return super().__new__(cls, hours)
 
 
 def flexibility(t: StartUpTime) -> Fraction:

@@ -2,35 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._numeric import frac
+from ._numeric import Validated, frac
 from .flexibility import StartUpTime, flexibility
 
-__all__ = ["PowerPlant", "flexibilities_for"]
+__all__ = ["PlantIdError", "PowerPlant", "flexibilities_for"]
 
 
-@dataclass(frozen=True)
-class PowerPlant:
-    """A generator: id, guaranteed start-up time, marginal cost (EUR/MWh),
-    capacity (MW)."""
+class PlantIdError(ValueError):
+    """A plant id that is not a non-empty string."""
 
+
+class _PowerPlantFields(NamedTuple):
     id: str
     start_up_time: StartUpTime
     marginal_cost: Fraction
     capacity: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marginal_cost", frac(self.marginal_cost))
-        object.__setattr__(self, "capacity", frac(self.capacity))
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"plant id must be a non-empty string, got {self.id!r}")
-        if self.marginal_cost.numerator < 0:
-            raise ValueError(f"{self.id}: marginal_cost must be >= 0")
-        if self.capacity.numerator <= 0:
-            raise ValueError(f"{self.id}: capacity must be > 0")
+
+class PowerPlant(Validated, _PowerPlantFields):
+    """A generator: id, guaranteed start-up time, marginal cost (EUR/MWh),
+    capacity (MW)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, start_up_time: StartUpTime, marginal_cost: Fraction,
+                capacity: Fraction) -> PowerPlant:
+        marginal_cost, capacity = frac(marginal_cost), frac(capacity)
+        if not isinstance(id, str) or not id:
+            raise PlantIdError(f"plant id must be a non-empty string, got {id!r}")
+        if marginal_cost.numerator < 0:
+            raise ValueError(f"{id}: marginal_cost must be >= 0")
+        if capacity.numerator <= 0:
+            raise ValueError(f"{id}: capacity must be > 0")
+        return super().__new__(cls, id, start_up_time, marginal_cost, capacity)
 
 
 def flexibilities_for(plants: Iterable[PowerPlant]) -> dict[str, Fraction]:

@@ -12,15 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._numeric import MAX_SIGNIFICANT_DIGITS, frac, parse_number
+from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, frac, parse_number
 from .capacity import CapacityConfig, reserve_candidates
 from .flexibility import StartUpTime
-from .plants import PowerPlant, flexibilities_for
+from .plants import PlantIdError, PowerPlant, flexibilities_for
 from .spotmarket import MarketConfig
 
 __all__ = [
@@ -55,8 +54,13 @@ class InvalidNumberError(ScenarioError):
     """A numeric field is missing, non-numeric, or out of range."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
+    plants: tuple[PowerPlant, ...]
+    market: MarketConfig
+    capacity: CapacityConfig
+
+
+class Scenario(Validated, _ScenarioFields):
     """Plants, market and capacity settings.
 
     Construction checks the rules that span the parts: at least one plant,
@@ -65,25 +69,25 @@ class Scenario:
     Each error is a `ScenarioError` that names the section at fault.
     """
 
-    plants: tuple[PowerPlant, ...]
-    market: MarketConfig
-    capacity: CapacityConfig = field(default_factory=CapacityConfig)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.plants:
+    def __new__(cls, plants: tuple[PowerPlant, ...], market: MarketConfig,
+                capacity: CapacityConfig = CapacityConfig()) -> Scenario:
+        if not plants:
             raise ScenarioParseError("plants: expected at least one plant")
         by_id: dict[str, PowerPlant] = {}
-        for p in self.plants:
+        for p in plants:
             if p.id in by_id:
                 raise DuplicatePlantIdError(f"plants: duplicate plant id {p.id!r}")
             by_id[p.id] = p
-        pinned = self.capacity.participants
+        pinned = capacity.participants
         if pinned is not None:
             listed = [by_id[pid] for pid in pinned if pid in by_id]
             try:
-                reserve_candidates(self.plants, flexibilities_for(listed), self.capacity)
+                reserve_candidates(plants, flexibilities_for(listed), capacity)
             except ValueError as exc:
                 raise ScenarioParseError(f"capacity.participants: {exc}") from None
+        return super().__new__(cls, plants, market, capacity)
 
     def flexibilities(self) -> dict[str, Fraction]:
         return flexibilities_for(self.plants)
@@ -157,6 +161,8 @@ def _plant_from_record(record: dict, path: str) -> PowerPlant:
     capacity = _number(record.get("capacity_mw"), f"{path}.capacity_mw")
     try:
         return PowerPlant(record.get("id"), StartUpTime(hours), mc, capacity)
+    except PlantIdError as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise InvalidNumberError(f"{path}: {exc}") from None
 

@@ -11,13 +11,12 @@ funds the capacity mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import exact_sum, frac, ratio_number, sorted_exact
+from ._numeric import Validated, exact_sum, frac, ratio_number, sorted_exact
 from .plants import PowerPlant
 
 __all__ = [
@@ -32,28 +31,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarketConfig:
-    """Reference price p0 (EUR/MWh), demand (MW), period (h)."""
-
+class _MarketConfigFields(NamedTuple):
     reference_price_p0: Fraction
     demand: Fraction
-    period: Fraction = Fraction(1)
+    period: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reference_price_p0", frac(self.reference_price_p0))
-        object.__setattr__(self, "demand", frac(self.demand))
-        object.__setattr__(self, "period", frac(self.period))
-        if self.reference_price_p0.numerator < 0:
+
+class MarketConfig(Validated, _MarketConfigFields):
+    """Reference price p0 (EUR/MWh), demand (MW), period (h)."""
+
+    __slots__ = ()
+
+    def __new__(cls, reference_price_p0: Fraction, demand: Fraction,
+                period: Fraction = Fraction(1)) -> MarketConfig:
+        p0, demand, period = frac(reference_price_p0), frac(demand), frac(period)
+        if p0.numerator < 0:
             raise ValueError("reference price p0 must be >= 0")
-        if self.demand.numerator < 0:
+        if demand.numerator < 0:
             raise ValueError("demand must be >= 0")
-        if self.period.numerator <= 0:
+        if period.numerator <= 0:
             raise ValueError("period must be > 0")
+        return super().__new__(cls, p0, demand, period)
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     """A sell bid of the plant's capacity (MW) at offer_price =
     marginal_cost + fee_rate, exactly."""
 
@@ -64,17 +65,16 @@ class Offer:
     capacity: Fraction
 
 
-@dataclass(frozen=True)
 class ClearingResult:
     """One clearing. The dispatched plants (MW) are the first of the offers
     in merit order; their fees and margins are derived when read."""
 
-    clearing_price: Fraction
-    dispatch: dict[str, Fraction]
-    total_fee_cf: Fraction
-    consumed_energy: Fraction
-    blackout: bool
-    offers: tuple[Offer, ...] = ()  # in merit order
+    def __init__(self, clearing_price: Fraction, dispatch: dict[str, Fraction],
+                 total_fee_cf: Fraction, consumed_energy: Fraction, blackout: bool,
+                 offers: tuple[Offer, ...] = ()) -> None:  # offers in merit order
+        self.clearing_price, self.dispatch = clearing_price, dispatch
+        self.total_fee_cf, self.consumed_energy = total_fee_cf, consumed_energy
+        self.blackout, self.offers = blackout, offers
 
     @cached_property
     def fee_ledger(self) -> dict[str, Fraction]:

@@ -42,11 +42,9 @@ class TestSweep:
         assert sweep.change_points == (Fraction(70),)
 
     def test_empty_scenario_rejected(self, toy):
-        import dataclasses
-
         # a scenario without plants cannot be built, so there is none to sweep
         with pytest.raises(ValueError, match="at least one plant"):
-            dataclasses.replace(toy, plants=())
+            toy._replace(plants=())
 
     def test_grid_must_be_ascending(self, toy):
         with pytest.raises(ValueError):

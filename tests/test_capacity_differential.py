@@ -5,7 +5,6 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,8 +43,7 @@ def oracle(scenario_path, cf_arg, allow_overlap, fmt, rounding):
         scenario = load_scenario(scenario_path)  # rejects an ineligible pinned plant
         result = clear_scenario(scenario)
         cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
-        config = replace(
-            scenario.capacity,
+        config = scenario.capacity._replace(
             allow_overlap=allow_overlap or scenario.capacity.allow_overlap,
         )
         pool = build_pool(

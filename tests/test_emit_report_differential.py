@@ -5,7 +5,6 @@ against the row-dict emitter it replaced, kept here as the oracle. Also
 the exact key."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -99,11 +98,11 @@ def scenarios_with_huge_costs(draw):
     plants = list(scenario.plants)
     for i in draw(st.sets(st.integers(0, len(plants) - 1), min_size=1)):
         extra = draw(st.fractions(min_value=0, max_value=10, max_denominator=7))
-        plants[i] = replace(plants[i], marginal_cost=HUGE + extra)
+        plants[i] = plants[i]._replace(marginal_cost=HUGE + extra)
     market = scenario.market
     if draw(st.booleans()):
-        market = replace(market, reference_price_p0=HUGE / 3)
-    return replace(scenario, plants=tuple(plants), market=market)
+        market = market._replace(reference_price_p0=HUGE / 3)
+    return scenario._replace(plants=tuple(plants), market=market)
 
 
 class TestEmitReportMatchesRowDicts:
@@ -121,8 +120,8 @@ class TestEmitReportMatchesRowDicts:
         # the cheapest plant is the only one dispatched; its margin is 0,
         # and the first row's offer is the value that cannot be written
         scenario = toy_grid(10, 1)
-        plants = [replace(p, marginal_cost=HUGE + 1) for p in scenario.plants]
-        result = clear_scenario(replace(scenario, plants=tuple(plants)))
+        plants = [p._replace(marginal_cost=HUGE + 1) for p in scenario.plants]
+        result = clear_scenario(scenario._replace(plants=tuple(plants)))
         with pytest.raises(ValueError, match="too large to report"):
             row_dict_emit_report(result, "csv", "exact")
         assert_same_report(result)
@@ -145,11 +144,11 @@ ODD_IDS = ["a%s", "b%%", 'c"q', "d{0}", "e}", "\u00e9\u6f22", "f\\g", "g\th", "h
 
 def renamed(scenario, ids):
     names = dict(zip((p.id for p in scenario.plants), ids))
-    plants = tuple(replace(p, id=names[p.id]) for p in scenario.plants)
+    plants = tuple(p._replace(id=names[p.id]) for p in scenario.plants)
     capacity = scenario.capacity
     if capacity.participants is not None:
-        capacity = replace(capacity, participants=tuple(names[i] for i in capacity.participants))
-    return replace(scenario, plants=plants, capacity=capacity)
+        capacity = capacity._replace(participants=tuple(names[i] for i in capacity.participants))
+    return scenario._replace(plants=plants, capacity=capacity)
 
 
 class TestOddPlantIds:

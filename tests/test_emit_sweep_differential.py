@@ -4,7 +4,6 @@ which rendered every point's Fractions. Grids come from `p0_range` and as
 explicit lists (`test_sweep_differential.grids`)."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -109,10 +108,9 @@ def huge_scenarios(draw):
     cost = 2 ** draw(st.integers(min_value=1010, max_value=1035))
     cost += draw(st.fractions(min_value=Fraction(1, 7), max_value=Fraction(6, 7),
                               max_denominator=7))
-    plants[i] = replace(plants[i], marginal_cost=cost)
+    plants[i] = plants[i]._replace(marginal_cost=cost)
     total = sum(p.capacity for p in plants)
-    return replace(scenario, plants=tuple(plants),
-                   market=MarketConfig(0, total))
+    return scenario._replace(plants=tuple(plants), market=MarketConfig(0, total))
 
 
 class TestEmitSweepMatchesPerPointReport:

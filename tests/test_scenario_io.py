@@ -68,6 +68,15 @@ class TestLoadScenario:
         with pytest.raises(DuplicatePlantIdError):
             load_scenario(write(tmp_path, "dup.json", doc))
 
+    @pytest.mark.parametrize("plant_id", [7, "", None])
+    def test_bad_plant_id_is_a_parse_error(self, tmp_path, plant_id):
+        # PowerPlant owns the id rule; an id is structure, not a number
+        doc = minimal_doc()
+        doc["plants"][1]["id"] = plant_id
+        with pytest.raises(ScenarioParseError,
+                           match=r"^plants\[1\]: plant id must be a non-empty string"):
+            load_scenario(write(tmp_path, "id.json", doc))
+
     def test_unknown_measure(self, tmp_path):
         with pytest.raises(UnknownMeasureError):
             load_scenario(write(tmp_path, "m.json", minimal_doc(measure="cubic")))

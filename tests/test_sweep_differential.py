@@ -6,7 +6,6 @@ Grids are drawn two ways: from `p0_range`, whose lo and step have
 independent denominators, and as explicit lists of Fractions, which
 `sweep_p0` puts over the lcm of their denominators."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,7 +86,7 @@ def scenarios(draw):
         if plants and draw(st.booleans()):
             # a copy of an earlier plant under a new id: tied at every p0
             twin = draw(st.sampled_from(plants))
-            plants.append(replace(twin, id=f"plant{i:02d}"))
+            plants.append(twin._replace(id=f"plant{i:02d}"))
             continue
         hours = draw(start_up)
         plants.append(
