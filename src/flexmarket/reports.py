@@ -171,10 +171,10 @@ def emit_report(
 ) -> bytes:
     """Render one clearing result."""
     check_format("clearing", format, rounding_mode)
-    blocks = _clearing_blocks(result, rounding_mode == "paper-rounded")
-    summary = _clearing_summary(result, rounding_mode)
     if format == "svg-stack":
         return _svg_stack(result)
+    blocks = _clearing_blocks(result, rounding_mode == "paper-rounded")
+    summary = _clearing_summary(result, rounding_mode)
     headers = ["plant_id", "phi", "fee_rate_eur_per_mwh", "offer_eur_per_mwh", "capacity_mw",
                "dispatch_mw", "profit_margin_eur_per_mwh", "fee_eur_per_h"]
     rows = _body(format, headers, blocks)

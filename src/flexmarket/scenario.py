@@ -258,6 +258,8 @@ def load_scenario(path: str | Path) -> Scenario:
                          parse_float=parse_number, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioParseError(f"{path}: not valid JSON: nested too deeply") from None
     except ValueError as exc:  # a number beyond parse_number's bounds
         raise InvalidNumberError(f"{path}: {exc}") from None
     return _scenario_from_dict(doc)

@@ -12,7 +12,9 @@ other criterion and the stated invariants require, gives
 That test fails by design rather than papering over the inconsistency.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from flexmarket.analysis import clear_scenario, sweep_p0
 from flexmarket.capacity import CapacityConfig, build_pool, settle
@@ -20,6 +22,7 @@ from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import market_wide_fee_intensity, total_fee
 
 from flexmarket._numeric import ratio_number
+from reference import sweep_rows
 
 
 def rounded(x):
@@ -119,7 +122,7 @@ def test_criterion_6_merit_order_behavior():
     toy = toy_grid(10, 25)
     base = clear_scenario(toy, Fraction(0)).merit_order
     sweep = sweep_p0(toy, [Fraction(10), Fraction(70)])
-    at10, at70 = sweep.points
+    at10, at70 = sweep_rows(sweep)
     ok = at10.merit_order == base
     ok &= at70.merit_order != base
     ok &= at70.merit_order == ("hydro", "chp", "wind", "nuclear",
@@ -130,27 +133,23 @@ def test_criterion_6_merit_order_behavior():
 
 def test_criterion_7_property_suites_configured():
     # the suites themselves execute in tests/test_properties.py within the
-    # same pytest run; here we pin their breadth
-    import test_properties as props
-
-    ok = props.RUNS.max_examples >= 200
-    for name in (
+    # same pytest run; here we pin their breadth, read from its source
+    tree = ast.parse((Path(__file__).parent / "test_properties.py").read_text())
+    runs = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["RUNS"])
+    ok = ast.literal_eval(dict((k.arg, k.value) for k in runs.keywords)["max_examples"]) >= 200
+    suites = ("TestSettlementProperties", "TestClearingProperties", "TestDispatchOracle",
+              "TestMeasureProperties")
+    methods = {f.name for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name in suites for f in node.body if isinstance(f, ast.FunctionDef)}
+    ok &= methods.issuperset({
         "test_fee_conservation",
         "test_uniform_phi_never_reorders",
         "test_dispatch_conservation",
         "test_hyperbolic_strictly_decreasing_on_random_grids",
         "test_merit_dispatch_is_cost_minimal",
         "test_homogeneity_and_share_invariance",
-    ):
-        ok &= any(
-            hasattr(cls, name)
-            for cls in (
-                props.TestSettlementProperties,
-                props.TestClearingProperties,
-                props.TestDispatchOracle,
-                props.TestMeasureProperties,
-            )
-        )
+    })
     verdict("7 randomized property suites present at >=200 cases each", ok)
 
 

@@ -14,6 +14,7 @@ from flexmarket.flexibility import StartUpTime
 from flexmarket.plants import PowerPlant
 from flexmarket.scenario import Scenario, ScenarioError, toy_grid
 from flexmarket.spotmarket import MarketConfig
+from reference import sweep_rows
 
 
 def single_plant_scenario():
@@ -24,14 +25,14 @@ def single_plant_scenario():
 class TestSweep:
     def test_p0_10_keeps_base_order(self, toy):
         base = clear_scenario(toy, Fraction(0)).merit_order
-        (point,) = sweep_p0(toy, [Fraction(10)]).points
+        (point,) = sweep_rows(sweep_p0(toy, [Fraction(10)]))
         assert point.merit_order == base
         assert not point.paradox
         assert point.reserve == {"gas"}
 
     def test_p0_70_changes_order_and_depletes_reserve(self, toy):
         base = clear_scenario(toy, Fraction(0)).merit_order
-        (point,) = sweep_p0(toy, [Fraction(70)]).points
+        (point,) = sweep_rows(sweep_p0(toy, [Fraction(70)]))
         assert point.merit_order != base
         assert point.paradox
         assert point.reserve == frozenset()
@@ -53,7 +54,7 @@ class TestSweep:
     def test_partition_at_every_point(self, toy):
         all_ids = {p.id for p in toy.plants}
         eligible = set(eligible_plants(toy.plants, toy.flexibilities()))
-        for point in sweep_p0(toy, [Fraction(n) for n in range(0, 81, 5)]).points:
+        for point in sweep_rows(sweep_p0(toy, [Fraction(n) for n in range(0, 81, 5)])):
             rest = all_ids - point.dispatched - point.reserve
             assert point.dispatched | point.reserve | rest == all_ids
             assert point.dispatched & point.reserve == frozenset()
@@ -61,7 +62,7 @@ class TestSweep:
 
     def test_cf_matches_ledger_recomputation(self, toy):
         grid = [Fraction(n) for n in range(0, 81, 5)]
-        for point, p0 in zip(sweep_p0(toy, grid).points, grid):
+        for point, p0 in zip(sweep_rows(sweep_p0(toy, grid)), grid):
             result = clear_scenario(toy, p0)
             assert point.total_fee_cf == sum(result.fee_ledger.values())
 
@@ -71,7 +72,7 @@ class TestSweep:
             flags = [
                 all(
                     pt.paradox
-                    for pt in sweep_p0(toy_grid(p0, Fraction(q)), [p0]).points
+                    for pt in sweep_rows(sweep_p0(toy_grid(p0, Fraction(q)), [p0]))
                 )
                 for q in range(0, 41, 5)
             ]

@@ -1,5 +1,6 @@
-"""Differential test: `flexmarket capacity` bytes against the path that
-scored every plant twice and sorted payments on Fraction keys."""
+"""Differential test: `flexmarket capacity` exit codes and bytes against the
+reference's clearing, reserve, settlement and report, from the drawn
+scenario document."""
 
 import contextlib
 import io
@@ -10,97 +11,44 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.analysis import clear_scenario
-from flexmarket.capacity import UnallocatableFeeError, build_pool, settle
+import reference as ref
 from flexmarket.cli import main
-from flexmarket.reports import _disp, _json_bytes
-from flexmarket.scenario import load_scenario
-from report_oracles import csv_bytes, table_bytes
 
 RUNS = settings(max_examples=150, deadline=None)
-
-# Few distinct values, so twin plants (equal phi·P, hence equal payments)
-# are common.
-start_up = st.one_of(
-    st.just("inf"),
-    st.sampled_from(["0", "0.02", "0.5", "1", "3"]),
-    st.fractions(min_value=0, max_value=5, max_denominator=40).map(
-        lambda f: f"{f.numerator}/{f.denominator}"
-    ),
-)
-money = st.one_of(
-    st.integers(min_value=0, max_value=100),
-    st.decimals(min_value=0, max_value=120, places=2).map(str),
-)
-capacity_mw = st.one_of(
-    st.sampled_from([5, 10]), st.integers(min_value=1, max_value=80)
-)
+COLUMNS = ["id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"]
 
 
-def oracle(scenario_path, cf_arg, allow_overlap, fmt, rounding):
-    """(exit code, stdout) of the old capacity path."""
+def oracle(doc, csv_input, cf_arg, allow_overlap, fmt, rounding):
+    """(exit code, stdout) of `capacity` on the document, from the
+    reference: 1 where the pool is rejected, 3 on the paradox."""
+    if csv_input:  # the CSV plant table carries plants only: market and capacity defaults
+        doc = {"plants": doc["plants"]}
+    written = [*(v for p in doc["plants"] for v in p.values()), *doc.get("market", {}).values(),
+               doc.get("capacity", {}).get("threshold")]
+    if any(isinstance(v, Fraction) and len(str(max(v.numerator, v.denominator))) > 100
+           for v in written):
+        return 1, b""  # a literal "n/d" may have at most 100 digits in each part
+    scenario = ref.read(doc)
+    if allow_overlap:
+        scenario = scenario._replace(allow_overlap=True)
+    result = ref.clearing(scenario)
+    cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
     try:
-        scenario = load_scenario(scenario_path)  # rejects an ineligible pinned plant
-        result = clear_scenario(scenario)
-        cf = result.total_fee_cf if cf_arg is None else Fraction(cf_arg)
-        config = scenario.capacity._replace(
-            allow_overlap=allow_overlap or scenario.capacity.allow_overlap,
-        )
-        pool = build_pool(
-            scenario.plants, scenario.flexibilities(), config, result.dispatch
-        )
-        settlement = settle(pool, cf)
-    except UnallocatableFeeError:
+        paid = ref.payments(scenario, ref.reserve(scenario, result.dispatch), cf)
+    except ref.Paradox:
         return 3, b""
     except ValueError:
         return 1, b""
-    items = sorted(settlement.payments.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = [[pid, _disp(value, rounding)] for pid, value in items]
-    headers = ["plant_id", "reliability_payment_eur_per_h"]
-    source = _disp(settlement.source_fee_cf, rounding)
-    if fmt == "json":
-        return 0, _json_bytes(
-            {
-                "payments": [dict(zip(headers, r)) for r in rows],
-                "summary": {"source_fee_cf_eur_per_h": source},
-            }
-        )
-    body = csv_bytes(headers, rows) if fmt == "csv" else table_bytes(headers, rows)
-    prefix = "# " if fmt == "csv" else ""
-    return 0, body + f"{prefix}source_fee_cf_eur_per_h: {source}\n".encode()
+    return 0, ref.settlement_report(paid, cf, fmt, rounding)
 
 
 @st.composite
 def cases(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    plants = []
-    for i in range(n):
-        if plants and draw(st.booleans()):
-            plants.append(dict(draw(st.sampled_from(plants)), id=f"p{i:02d}"))
-            continue
-        plants.append(
-            {
-                "id": f"p{i:02d}",
-                "start_up_time_h": draw(start_up),
-                "marginal_cost_eur_per_mwh": draw(money),
-                "capacity_mw": draw(capacity_mw),
-            }
-        )
-    total = sum(p["capacity_mw"] for p in plants)
-    doc = {
-        "plants": plants,
-        "market": {
-            "p0_eur_per_mwh": draw(st.sampled_from([0, 10, 40, 70, "12.5"])),
-            "demand_mw": draw(st.integers(min_value=0, max_value=total + 5)),
-        },
-        "capacity": {"threshold": draw(st.sampled_from([0.25, 0.5, "2/3"]))},
-    }
+    doc = draw(ref.scenarios())
     if draw(st.integers(min_value=0, max_value=2)) == 2:
         # an explicit list: eligible or not, dispatched or not
-        ids = [p["id"] for p in plants]
-        doc["capacity"]["participants"] = draw(
-            st.lists(st.sampled_from(ids), unique=True, max_size=n)
-        )
+        ids = [p["id"] for p in doc["plants"]]
+        doc["capacity"]["participants"] = draw(st.lists(st.sampled_from(ids), unique=True))
     csv_input = draw(st.integers(min_value=0, max_value=5)) == 5
     cf = draw(st.one_of(st.none(), st.sampled_from(["0", "205", "12.345", "1/3"])))
     allow_overlap = draw(st.booleans())
@@ -109,15 +57,26 @@ def cases(draw):
     return doc, csv_input, cf, allow_overlap, fmt, rounding
 
 
+def literal(value):
+    """A document's number as a scenario file holds it: an int, a float
+    where the decimal is exact, else the string "n/d"."""
+    if not isinstance(value, Fraction):
+        return value
+    if value.denominator == 1:
+        return value.numerator
+    for digits in range(1, 9):
+        if (value * 10**digits).denominator == 1:
+            return float(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
 def write_scenario(directory, doc, csv_input):
     if not csv_input:
         path = Path(directory) / "s.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, default=literal))
         return path
-    # the CSV plant table carries plants only: market and capacity defaults
-    columns = ["id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"]
-    lines = [",".join(columns)]
-    lines += [",".join(str(p[c]) for c in columns) for p in doc["plants"]]
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(str(literal(p[c])) for c in COLUMNS) for p in doc["plants"]]
     path = Path(directory) / "s.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -139,7 +98,7 @@ def test_capacity_cli_matches_the_two_scoring_path(case):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         stdout = out.read_bytes() if out.exists() else b""
-        assert (code, stdout) == oracle(scenario, cf, allow_overlap, fmt, rounding)
+        assert (code, stdout) == oracle(doc, csv_input, cf, allow_overlap, fmt, rounding)
 
 
 def test_zero_fee_pool_orders_tied_payments_by_id(tmp_path):

@@ -131,6 +131,15 @@ class TestValidate:
         assert "out of range" in err
 
 
+    def test_deeply_nested_json_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error:")
+        assert err.endswith("not valid JSON: nested too deeply\n")
+
+
 class TestClear:
     def test_default(self, capsys, toy_grid_path):
         code, out, _ = run(capsys, "clear", str(toy_grid_path))
@@ -165,6 +174,20 @@ class TestClear:
         assert (code, out) == (1, "")
         assert err.startswith("validation error:")
         assert "too large to report" in err
+
+    def test_svg_stack_drawn_where_no_table_can_be(self, capsys, tmp_path):
+        # the fee of 2/3·1e300 EUR/MWh on 1e100 MW is beyond the float
+        # range, but every value the SVG draws is within it
+        plant = {"id": "only", "start_up_time_h": 2, "marginal_cost_eur_per_mwh": "1e300",
+                 "capacity_mw": "1e100"}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"plants": [plant], "market": {"p0_eur_per_mwh": "1e300", "demand_mw": "1e100"}}))
+        code, _, err = run(capsys, "clear", str(path), "--format", "csv")
+        assert code == 1 and "too large to report" in err
+        code, out, err = run(capsys, "clear", str(path), "--format", "svg-stack")
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg")
 
     def test_output_file(self, capsys, toy_grid_path, tmp_path):
         target = tmp_path / "report.svg"

@@ -1,150 +1,90 @@
 """Differential test of the sweep report: `emit_sweep`, which writes each
-run's columns from its integers, against the per-point emitter it replaced,
-which rendered every point's Fractions. Grids come from `p0_range` and as
-explicit lists (`test_sweep_differential.grids`)."""
+run's columns from its integers, against the reference's per-point sweep
+written a row at a time. Grids come from `p0_range` and as explicit lists
+(`reference.grids`)."""
 
-import json
 from fractions import Fraction
-from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from flexmarket.analysis import p0_range, sweep_p0
-from flexmarket._numeric import to_float
-from flexmarket.flexibility import StartUpTime
-from flexmarket.plants import PowerPlant
 from flexmarket.reports import emit_sweep
-from flexmarket.scenario import Scenario, toy_grid
-from flexmarket.spotmarket import MarketConfig
-from report_oracles import table_bytes
-from test_sweep_differential import grids, scenarios
+from flexmarket.scenario import _scenario_from_dict as scenario_of
 
 RUNS = settings(max_examples=200, deadline=None)
-FORMATS = ("csv", "plain-table", "json")
-MODES = ("exact", "paper-rounded")
-HEADERS = [
-    "p0", "clearing_price", "merit_order", "dispatched",
-    "total_fee_cf", "reserve", "paradox",
-]
+grids = ref.grids(p0_range)
 
 
-def number(x):
-    return x.numerator if x.denominator == 1 else to_float(x)
-
-
-def shown(x, mode):
-    if mode == "paper-rounded":  # half away from zero
-        return int((1 if x >= 0 else -1) * floor(abs(x) + Fraction(1, 2)))
-    return number(x)
-
-
-def per_point_emit_sweep(sweep, format, mode):
-    """The reference: one row per `SweepPoint`, each value rendered from its
-    reduced Fraction."""
-    rows = [
-        [
-            number(pt.p0),
-            shown(pt.clearing_price, mode),
-            "|".join(pt.merit_order),
-            "|".join(sorted(pt.dispatched)),
-            shown(pt.total_fee_cf, mode),
-            "|".join(sorted(pt.reserve)),
-            pt.paradox,
-        ]
-        for pt in sweep.points
-    ]
-    changes = [number(p) for p in sweep.change_points]
-    if format == "json":
-        doc = {"points": [dict(zip(HEADERS, row)) for row in rows],
-               "change_points": changes}
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    if format == "csv":
-        lines = [",".join(HEADERS)] + [",".join(str(c) for c in row) for row in rows]
-        body = ("\n".join(lines) + "\n").encode()
-    else:
-        body = table_bytes(HEADERS, rows)
-    prefix = "# " if format == "csv" else ""
-    return body + f"{prefix}change_points: {','.join(map(str, changes))}\n".encode()
-
-
-def assert_same_report(sweep):
-    """Every format and rounding mode gives the reference's bytes, or the
-    reference's ValueError."""
-    for format in FORMATS:
-        for mode in MODES:
-            try:
-                expected = per_point_emit_sweep(sweep, format, mode)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as raised:
-                    emit_sweep(sweep, format, mode)
-                assert str(raised.value) == str(exc)
-                continue
-            assert emit_sweep(sweep, format, mode) == expected
+def assert_same_report(doc, grid):
+    """`emit_sweep` of the sweep gives the reference's bytes in every format
+    and rounding mode, or its ValueError; returns the reference's points.
+    A pool that capacity would reject (exit 1) leaves nothing to report."""
+    try:
+        sweep = sweep_p0(scenario_of(doc), grid)
+    except ValueError:
+        return None
+    points, changes = ref.sweep(ref.read(doc), grid)
+    ref.assert_same_reports(lambda f, m: emit_sweep(sweep, f, m),
+                            lambda f, m: ref.sweep_report(points, changes, f, m))
+    return points
 
 
 def plant(pid, start_up, mc, capacity=5):
-    return PowerPlant(pid, StartUpTime(start_up), Fraction(mc), Fraction(capacity))
+    return {"id": pid, "start_up_time_h": start_up, "marginal_cost_eur_per_mwh": Fraction(mc),
+            "capacity_mw": Fraction(capacity)}
+
+
+def scenario(plants, demand):
+    return {"plants": plants, "market": {"demand_mw": Fraction(demand)}}
 
 
 def assert_halves_round_away_from_zero(grid):
-    plants = (plant("a", 0, Fraction(5, 2)), plant("b", None, Fraction(1, 2)))
-    sweep = sweep_p0(Scenario(plants, MarketConfig(0, Fraction(15, 2))), grid)
-    halves = [pt.clearing_price for pt in sweep.points
-              if pt.clearing_price.denominator == 2]
-    assert halves and any(pt.total_fee_cf.denominator == 2 for pt in sweep.points)
-    assert_same_report(sweep)
-    rows = emit_sweep(sweep, "csv", "paper-rounded").decode().splitlines()
-    assert rows[1].split(",")[:2] == ["0", "3"]  # price 5/2 shows as 3
+    doc = scenario([plant("a", 0, Fraction(5, 2)), plant("b", "inf", Fraction(1, 2))],
+                   Fraction(15, 2))
+    points = assert_same_report(doc, grid)
+    assert any(pt.clearing_price.denominator == 2 for pt in points)
+    assert any(pt.total_fee_cf.denominator == 2 for pt in points)
+    rows = emit_sweep(sweep_p0(scenario_of(doc), grid), "csv", "paper-rounded")
+    assert rows.decode().splitlines()[1].split(",")[:2] == ["0", "3"]  # price 5/2 shows as 3
 
 
 @st.composite
 def huge_scenarios(draw):
     """A random scenario with one plant's cost a non-integer near the float
     limit, about 2**1024, and every plant dispatched, that one last."""
-    scenario = draw(scenarios())
-    plants = list(scenario.plants)
-    i = draw(st.integers(min_value=0, max_value=len(plants) - 1))
+    doc = draw(ref.scenarios())
+    i = draw(st.integers(min_value=0, max_value=len(doc["plants"]) - 1))
     cost = 2 ** draw(st.integers(min_value=1010, max_value=1035))
     cost += draw(st.fractions(min_value=Fraction(1, 7), max_value=Fraction(6, 7),
                               max_denominator=7))
-    plants[i] = plants[i]._replace(marginal_cost=cost)
-    total = sum(p.capacity for p in plants)
-    return scenario._replace(plants=tuple(plants), market=MarketConfig(0, total))
+    doc["plants"][i] = dict(doc["plants"][i], marginal_cost_eur_per_mwh=cost)
+    doc["market"]["demand_mw"] = sum(p.capacity for p in ref.read(doc).plants)
+    return doc
 
 
 class TestEmitSweepMatchesPerPointReport:
     @RUNS
-    @given(scenarios(), grids)
-    def test_random_sweeps(self, scenario, grid):
-        try:
-            sweep = sweep_p0(scenario, grid)
-        except ValueError:  # capacity would exit 1; nothing to report
-            return
-        assert_same_report(sweep)
+    @given(ref.scenarios(), grids)
+    def test_random_sweeps(self, doc, grid):
+        assert_same_report(doc, grid)
 
     @settings(max_examples=60, deadline=None)
     @given(huge_scenarios(), grids)
-    def test_values_near_the_float_limit(self, scenario, grid):
-        try:
-            sweep = sweep_p0(scenario, grid)
-        except ValueError:
-            return
-        assert_same_report(sweep)
+    def test_values_near_the_float_limit(self, doc, grid):
+        assert_same_report(doc, grid)
 
-    def test_toy_grid_fine(self, toy):
-        assert_same_report(sweep_p0(toy, [Fraction(i, 100) for i in range(8001)]))
+    def test_toy_grid_fine(self):
+        assert_same_report(ref.toy(), [Fraction(i, 100) for i in range(8001)])
 
     def test_integral_values(self):
         # phi = 1 offers its cost, phi = 0 its cost plus p0: integers at
         # integer p0
-        plants = (plant("firm", 0, 7), plant("flat", None, 3), plant("peak", 0, 40))
-        sweep = sweep_p0(Scenario(plants, MarketConfig(0, 8)),
-                         [Fraction(p) for p in range(0, 12)])
-        prices = [pt.clearing_price for pt in sweep.points]
-        assert all(p.denominator == 1 for p in prices)
-        assert any(pt.total_fee_cf > 0 for pt in sweep.points)
-        assert_same_report(sweep)
+        doc = scenario([plant("firm", 0, 7), plant("flat", "inf", 3), plant("peak", 0, 40)], 8)
+        points = assert_same_report(doc, [Fraction(p) for p in range(0, 12)])
+        assert all(pt.clearing_price.denominator == 1 for pt in points)
+        assert any(pt.total_fee_cf > 0 for pt in points)
 
     def test_exact_halves_round_away_from_zero(self):
         assert_halves_round_away_from_zero([Fraction(k, 2) for k in range(0, 13)])
@@ -169,12 +109,12 @@ class TestEmitSweepMatchesPerPointReport:
     def test_beyond_the_float_range_raises_to_floats_error(
         self, grid, cost, first_too_large
     ):
-        plants = (plant("cheap", None, 1), plant("dear", 0, cost))
-        sweep = sweep_p0(Scenario(plants, MarketConfig(0, 10)), grid)
+        doc = scenario([plant("cheap", "inf", 1), plant("dear", 0, cost)], 10)
+        sweep = sweep_p0(scenario_of(doc), grid)
         with pytest.raises(ValueError) as expected:
-            to_float(first_too_large)
-        for format in FORMATS:
+            ref.shown(first_too_large)
+        for format in ("plain-table", "csv", "json"):
             with pytest.raises(ValueError) as raised:
                 emit_sweep(sweep, format, "exact")
             assert str(raised.value) == str(expected.value)
-        assert_same_report(sweep)
+        assert_same_report(doc, grid)

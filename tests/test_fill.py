@@ -1,52 +1,24 @@
 """The one fill kernel that `clear` and `sweep_p0` share: on Fraction
 capacities (as `clear` passes them) and on the same capacities scaled to
-ints (as `sweep_p0` passes them), against a plain Fraction fill."""
+ints (as `sweep_p0` passes them), against the reference's fill."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from flexmarket.spotmarket import _fill
 
 
-def _coprime_20_digit(count):
-    found = []
-    k = 1
-    while len(found) < count:
-        candidate = 10**19 + k
-        if all(gcd(candidate, other) == 1 for other in found):
-            found.append(candidate)
-        k += 2
-    return found
-
-
-DENOMINATORS = [1, 2, 3, 7, 10, 97, 100, *_coprime_20_digit(4)]
-capacity_mw = st.builds(
-    Fraction,
-    st.integers(min_value=1, max_value=10**4),
-    st.sampled_from(DENOMINATORS),
-).filter(lambda c: c <= 500)
-
-
-def reference_fill(capacities, demand):
-    """(count, rest) by the plain loop of `min(capacity, remaining)`; rest
-    is unmet demand if positive, the marginal plant's unused MW if
-    negative."""
-    dispatch = []
-    remaining = demand
-    for capacity in capacities:
-        if remaining == 0:
-            break
-        mw = min(capacity, remaining)
-        dispatch.append(mw)
-        remaining -= mw
-    if remaining > 0:
-        return len(dispatch), remaining
-    if dispatch:
-        return len(dispatch), dispatch[-1] - capacities[len(dispatch) - 1]
-    return 0, Fraction(0)
+def reference_count_rest(capacities, demand):
+    """(count, rest) of the reference's fill: rest is the demand left unmet
+    if positive, the marginal plant's unused MW if negative."""
+    dispatch, unmet = ref.fill(capacities, demand)
+    if unmet > 0 or not dispatch:
+        return len(dispatch), unmet
+    return len(dispatch), dispatch[-1] - capacities[len(dispatch) - 1]
 
 
 def fills(capacities, demand):
@@ -61,7 +33,7 @@ def fills(capacities, demand):
 
 @st.composite
 def fill_cases(draw):
-    capacities = draw(st.lists(capacity_mw, max_size=8))
+    capacities = draw(st.lists(ref.fine_capacities, max_size=8))
     total = sum(capacities, Fraction(0))
     prefix = draw(st.integers(min_value=0, max_value=len(capacities)))
     served = sum(capacities[:prefix], Fraction(0))
@@ -75,7 +47,7 @@ def fill_cases(draw):
                      .filter(lambda s: 0 < s < 1))
         demand = served + share * capacities[prefix]
     else:
-        demand = total + draw(capacity_mw)
+        demand = total + draw(ref.fine_capacities)
     return capacities, demand
 
 
@@ -84,10 +56,10 @@ def fill_cases(draw):
 def test_fractions_and_scaled_ints_match_the_plain_fill(case):
     capacities, demand = case
     on_fractions, on_ints = fills(capacities, demand)
-    assert on_fractions == on_ints == reference_fill(capacities, demand)
+    assert on_fractions == on_ints == reference_count_rest(capacities, demand)
 
 
-BIG = _coprime_20_digit(3)
+BIG = ref.coprime_20_digit(3)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +80,7 @@ BIG = _coprime_20_digit(3)
 )
 def test_edge_cases(capacities, demand, expected):
     on_fractions, on_ints = fills(capacities, demand)
-    assert on_fractions == on_ints == reference_fill(capacities, demand) == expected
+    assert on_fractions == on_ints == reference_count_rest(capacities, demand) == expected
 
 
 def test_den_grows_only_over_the_plants_visited():
