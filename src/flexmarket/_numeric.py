@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import compress, count
 from operator import ne
 from typing import Any, Callable, Iterable, Sequence, TypeVar
@@ -29,7 +30,7 @@ _RATIONAL = re.compile(r"\s*([-+]?)0*(\d+)/0*(\d+)\s*")
 _PLAIN_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 _PLAIN_MAX = 17
 
-# sorted_exact orders items first on floor(value * 2**_COARSE_BITS).
+# Beyond the float range, coarse_runs orders values on floor(value * 2**_COARSE_BITS).
 _COARSE_BITS = 64
 
 
@@ -61,6 +62,12 @@ class Validated:
     @classmethod
     def _make(cls: type[T], fields: Iterable[Any]) -> T:
         return cls(*fields)
+
+
+def first_duplicate(items: Iterable[T]) -> T | None:
+    """The first item equal to one before it, or None."""
+    seen: set = set()
+    return next((item for item in items if item in seen or seen.add(item)), None)
 
 
 def parse_number(text: str) -> Fraction:
@@ -126,6 +133,40 @@ def _parse_literal(text: str) -> Fraction:
     return Fraction(numerator, 10**-scale)
 
 
+def coarse_runs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[slice]]:
+    """Indices of values n/d (d > 0) sorted on n/d as a float (beyond its range,
+    floor(n/d·2**64)), which never decreases as n/d grows, and the slices of
+    that order with two or more equal keys, the runs that `sort_runs` sorts."""
+    try:
+        coarse = [n / d for n, d in pairs]  # int division rounds correctly
+    except OverflowError:
+        coarse = [(n << _COARSE_BITS) // d for n, d in pairs]
+    order = sorted(range(len(coarse)), key=coarse.__getitem__)
+    keys = [coarse[i] for i in order]
+    runs, start = [], 0  # order[start:end] is each run of equal keys in turn
+    for end in compress(count(1), map(ne, keys, keys[1:] + [None])):
+        if end - start > 1:
+            runs.append(slice(start, end))
+        start = end
+    return order, runs
+
+
+def sort_runs(order: list[int], runs: Iterable[slice], pairs: Sequence[tuple[int, int]],
+              tiebreak: Callable[[int], Any]) -> list[int]:
+    """`order` with each run sorted on (pairs[i] as n/d, tiebreak(i)): on the
+    tiebreak, then stably on numerators where the run shares one denominator,
+    else on cross-multiplied pairs (a common denominator could grow with it)."""
+    for part in runs:
+        run = sorted(order[part], key=tiebreak)
+        if len({pairs[i][1] for i in run}) == 1:
+            run.sort(key=lambda i: pairs[i][0])
+        else:
+            run.sort(key=cmp_to_key(
+                lambda i, j: pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]))
+        order[part] = run
+    return order
+
+
 def sorted_exact(
     items: Iterable[T],
     value: Callable[[T], Fraction],
@@ -133,30 +174,12 @@ def sorted_exact(
 ) -> list[T]:
     """The items in ascending order of (value(item), tiebreak(item)).
 
-    Equal to `sorted(items, key=lambda x: (value(x), tiebreak(x)))`, but most
-    comparisons are between ints: the items are first sorted on the floor of
-    value·2**64, which never decreases as the value grows, and only runs of
-    items with equal floors are then sorted on the full exact key. Where a
-    run's values share one denominator, as equal values do, the numerators
-    stand in for them as ints.
+    Equal to `sorted(items, key=lambda x: (value(x), tiebreak(x)))`, but on
+    ints: `coarse_runs`, then `sort_runs`.
     """
     items = list(items)
-    values = [value(item) for item in items]
-    coarse = [(v.numerator << _COARSE_BITS) // v.denominator for v in values]
-    order = sorted(range(len(items)), key=coarse.__getitem__)
-    floors = [coarse[i] for i in order]
-    start = 0  # order[start:end] is each run of equal floors in turn
-    for end in compress(count(1), map(ne, floors, floors[1:] + [None])):
-        if end - start > 1:
-            run = order[start:end]
-            # no common denominator over distinct ones: their lcm can grow
-            # with the run, and comparing Fractions pairwise stays cheap
-            if len({values[i].denominator for i in run}) == 1:
-                run.sort(key=lambda i: (values[i].numerator, tiebreak(items[i])))
-            else:
-                run.sort(key=lambda i: (values[i], tiebreak(items[i])))
-            order[start:end] = run
-        start = end
+    pairs = [value(item).as_integer_ratio() for item in items]
+    order = sort_runs(*coarse_runs(pairs), pairs, lambda i: tiebreak(items[i]))
     return [items[i] for i in order]
 
 

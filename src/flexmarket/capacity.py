@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import Validated, exact_sum, frac, sorted_exact
+from ._numeric import Validated, coarse_runs, exact_sum, frac, sort_runs
 from .plants import PowerPlant
 
 __all__ = [
@@ -73,13 +73,15 @@ class CapacityPool(Validated, _CapacityPoolFields):
 
     def __new__(cls, participants: tuple[tuple[str, Fraction, Fraction], ...],
                 eligibility_threshold: Fraction = Fraction(1, 2)) -> CapacityPool:
+        tn, td = eligibility_threshold.as_integer_ratio()
         for pid, phi, cap in participants:
-            if not phi > eligibility_threshold:
+            n, d = phi.as_integer_ratio()
+            if n * td <= tn * d:  # phi <= threshold, on ints
                 raise ValueError(
                     f"{pid}: phi = {phi} does not exceed threshold "
                     f"{eligibility_threshold}"
                 )
-            if cap <= 0:
+            if cap.as_integer_ratio()[0] <= 0:
                 raise ValueError(f"{pid}: capacity must be > 0")
         return super().__new__(cls, participants, eligibility_threshold)
 
@@ -100,10 +102,28 @@ def eligible_plants(
     config: CapacityConfig = CapacityConfig(),
 ) -> list[str]:
     """Plant ids with phi strictly above the config's threshold, by
-    descending phi."""
-    threshold = config.threshold
-    chosen = [p.id for p in plants if phi[p.id] > threshold]
-    return sorted_exact(chosen, lambda pid: -phi[pid], lambda pid: pid)
+    descending phi, then id. Scores are compared and sorted on their ints."""
+    tn, td = config.threshold.as_integer_ratio()
+    ids, pairs = [], []  # pairs: -phi, so that ascending is by descending phi
+    for p in plants:
+        n, d = phi[p.id].as_integer_ratio()
+        if n * td > tn * d:
+            ids.append(p.id)
+            pairs.append((-n, d))
+    return [ids[i] for i in sort_runs(*coarse_runs(pairs), pairs, ids.__getitem__)]
+
+
+def _candidates(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction],
+                config: CapacityConfig) -> tuple[tuple[str, Fraction, Fraction], ...]:
+    """The participants of `reserve_candidates`, not yet checked."""
+    by_id = {p.id: p for p in plants}
+    ids = config.participants
+    if ids is None:
+        ids = eligible_plants(by_id.values(), phi, config)
+    for pid in ids:
+        if pid not in by_id:
+            raise ValueError(f"unknown plant id {pid!r}")
+    return tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids)
 
 
 def reserve_candidates(
@@ -114,17 +134,7 @@ def reserve_candidates(
     (`CapacityPool` checks that each is eligible). For an explicit list,
     `phi` needs only the listed plants' scores. Each id is one plant here,
     so the pool never holds an id twice."""
-    by_id = {p.id: p for p in plants}
-    ids = config.participants
-    if ids is None:
-        ids = eligible_plants(by_id.values(), phi, config)
-    for pid in ids:
-        if pid not in by_id:
-            raise ValueError(f"unknown plant id {pid!r}")
-    return CapacityPool(
-        tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids),
-        eligibility_threshold=config.threshold,
-    )
+    return CapacityPool(_candidates(plants, phi, config), config.threshold)
 
 
 def reserve_members(
@@ -150,10 +160,15 @@ def build_pool(
     config: CapacityConfig = CapacityConfig(),
     dispatched: Iterable[str] = (),
 ) -> CapacityPool:
-    """The reserve pool: `reserve_candidates`, then `reserve_members`."""
-    candidates = reserve_candidates(plants, phi, config)
-    members = reserve_members(candidates, config, set(dispatched))
-    return candidates._replace(participants=members)
+    """The reserve pool: `reserve_candidates`, then `reserve_members`, each member
+    checked once: an explicit list before the dispatch rule, an auto pool after."""
+    dispatched = set(dispatched)
+    if config.participants is not None:
+        candidates = reserve_candidates(plants, phi, config)
+        reserve_members(candidates, config, dispatched)  # rejects a dispatched member
+        return candidates
+    members = tuple(m for m in _candidates(plants, phi, config) if m[0] not in dispatched)
+    return CapacityPool(members, eligibility_threshold=config.threshold)
 
 
 def is_paradox(reserve: Collection[object], cf: Fraction) -> bool:
@@ -170,8 +185,6 @@ def settle(pool: CapacityPool, cf: Fraction) -> CapacitySettlement:
         raise UnallocatableFeeError(
             f"fee pool of {cf} EUR/h but no reserve plant to receive it"
         )
-    p_flex = pool.p_flex
-    payments = {
-        pid: phi * cap / p_flex * cf for pid, phi, cap in pool.participants
-    }
+    share = cf / pool.p_flex if pool.participants else cf  # C_f per unit of phi·P
+    payments = {pid: phi * cap * share for pid, phi, cap in pool.participants}
     return CapacitySettlement(payments, cf)

@@ -30,7 +30,8 @@ class PowerPlant(Validated, _PowerPlantFields):
 
     def __new__(cls, id: str, start_up_time: StartUpTime, marginal_cost: Fraction,
                 capacity: Fraction) -> PowerPlant:
-        marginal_cost, capacity = frac(marginal_cost), frac(capacity)
+        if marginal_cost.__class__ is not Fraction or capacity.__class__ is not Fraction:
+            marginal_cost, capacity = frac(marginal_cost), frac(capacity)
         if not isinstance(id, str) or not id:
             raise PlantIdError(f"plant id must be a non-empty string, got {id!r}")
         if marginal_cost.numerator < 0:
@@ -41,6 +42,15 @@ class PowerPlant(Validated, _PowerPlantFields):
 
 
 def flexibilities_for(plants: Iterable[PowerPlant]) -> dict[str, Fraction]:
-    """Map plant id -> flexibility score for a plant list."""
-    return {p.id: flexibility(p.start_up_time) for p in plants}
+    """Map plant id -> flexibility score for a plant list, scoring each
+    distinct start-up time once (keyed on its hours' ints)."""
+    scores: dict[tuple[int, int] | None, Fraction] = {}
+    phi = {}
+    for plant_id, start_up_time, _, _ in plants:
+        hours = start_up_time.hours
+        key = None if hours is None else hours.as_integer_ratio()
+        if key not in scores:
+            scores[key] = flexibility(start_up_time)
+        phi[plant_id] = scores[key]
+    return phi
 

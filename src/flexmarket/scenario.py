@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, frac, parse_number
+from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, first_duplicate, frac, parse_number
 from .capacity import CapacityConfig, reserve_candidates
 from .flexibility import StartUpTime
 from .plants import PlantIdError, PowerPlant, flexibilities_for
@@ -75,11 +76,10 @@ class Scenario(Validated, _ScenarioFields):
                 capacity: CapacityConfig = CapacityConfig()) -> Scenario:
         if not plants:
             raise ScenarioParseError("plants: expected at least one plant")
-        by_id: dict[str, PowerPlant] = {}
-        for p in plants:
-            if p.id in by_id:
-                raise DuplicatePlantIdError(f"plants: duplicate plant id {p.id!r}")
-            by_id[p.id] = p
+        by_id = {p.id: p for p in plants}
+        if len(by_id) < len(plants):
+            duplicate = first_duplicate(p.id for p in plants)
+            raise DuplicatePlantIdError(f"plants: duplicate plant id {duplicate!r}")
         pinned = capacity.participants
         if pinned is not None:
             listed = [by_id[pid] for pid in pinned if pid in by_id]
@@ -109,58 +109,55 @@ class _DuplicateKeyObject(dict):
     duplicate: str
 
 
-def _first_duplicate(keys: Iterable[str]) -> str | None:
-    seen = set()
-    for key in keys:
-        if key in seen:
-            return key
-        seen.add(key)
-    return None
-
-
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
     record = dict(pairs)
     if len(record) == len(pairs):
         return record
     record = _DuplicateKeyObject(record)
-    record.duplicate = _first_duplicate(key for key, _ in pairs)
+    record.duplicate = first_duplicate(key for key, _ in pairs)
     return record
 
 
 def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
-    prefix = f"{path}." if path else ""
     if isinstance(record, _DuplicateKeyObject):
-        raise ScenarioParseError(f"{prefix}{record.duplicate}: duplicate key")
-    if not allowed.issuperset(record):
+        error = f"{record.duplicate}: duplicate key"
+    elif allowed.issuperset(record):
+        return
+    else:
         unknown = sorted(str(key) for key in record if key not in allowed)
-        raise ScenarioParseError(
-            f"{prefix}{unknown[0]}: unknown key (expected one of "
-            f"{', '.join(sorted(allowed))})"
-        )
+        error = f"{unknown[0]}: unknown key (expected one of {', '.join(sorted(allowed))})"
+    raise ScenarioParseError(f"{path}.{error}" if path else error)
 
 
-def _number(raw: object, path: str) -> Fraction:
+def _number(raw: object, path: str, numbers: Callable = frac, field: str = "") -> Fraction:
+    """raw as an exact number, by `numbers`: `frac`, or a document's memo of
+    it. The error names path + field."""
     try:
-        return frac(raw)  # type: ignore[arg-type]
+        if raw.__class__ is Fraction:  # a JSON float: parse_number, once per text
+            return raw  # type: ignore[return-value]
+        return (frac if raw.__class__ is bool else numbers)(raw)  # True == 1, but no number
     except TypeError:
-        raise InvalidNumberError(f"{path}: expected a number, got {raw!r}") from None
+        raise InvalidNumberError(f"{path}{field}: expected a number, got {raw!r}") from None
     except ValueError as exc:
-        raise InvalidNumberError(f"{path}: expected a number: {exc}") from None
+        raise InvalidNumberError(f"{path}{field}: expected a number: {exc}") from None
 
 
-def _plant_from_record(record: dict, path: str) -> PowerPlant:
+def _plant_from_record(record: dict, path: str, numbers: Callable,
+                       starts: dict[tuple[int, int] | None, StartUpTime]) -> PowerPlant:
+    """A plant record as a PowerPlant; plants with equal start-up times share
+    the one in `starts`, keyed on the hours' ints."""
     _check_keys(record, _PLANT_KEYS, path)
     raw_hours = record.get("start_up_time_h")
-    hours = (
-        None if isinstance(raw_hours, str) and raw_hours == "inf"
-        else _number(raw_hours, f"{path}.start_up_time_h")
-    )
-    mc = _number(
-        record.get("marginal_cost_eur_per_mwh"), f"{path}.marginal_cost_eur_per_mwh"
-    )
-    capacity = _number(record.get("capacity_mw"), f"{path}.capacity_mw")
+    hours = (None if isinstance(raw_hours, str) and raw_hours == "inf"
+             else _number(raw_hours, path, numbers, ".start_up_time_h"))
+    mc = _number(record.get("marginal_cost_eur_per_mwh"), path, numbers,
+                 ".marginal_cost_eur_per_mwh")
+    capacity = _number(record.get("capacity_mw"), path, numbers, ".capacity_mw")
+    key = None if hours is None else hours.as_integer_ratio()
     try:
-        return PowerPlant(record.get("id"), StartUpTime(hours), mc, capacity)
+        if key not in starts:
+            starts[key] = StartUpTime(hours)
+        return PowerPlant(record.get("id"), starts[key], mc, capacity)
     except PlantIdError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
     except ValueError as exc:
@@ -174,11 +171,12 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     raw_plants = doc.get("plants")
     if not isinstance(raw_plants, list):
         raise ScenarioParseError("plants: expected a list")
+    numbers, starts = cache(frac), {}  # one document's literals and start-up times
     plants = []
     for i, record in enumerate(raw_plants):
         if not isinstance(record, dict):
             raise ScenarioParseError(f"plants[{i}]: expected an object")
-        plants.append(_plant_from_record(record, f"plants[{i}]"))
+        plants.append(_plant_from_record(record, f"plants[{i}]", numbers, starts))
 
     market = doc.get("market", {})
     if not isinstance(market, dict):
@@ -222,21 +220,25 @@ def _scenario_from_dict(doc: dict) -> Scenario:
 def _scenario_from_csv(text: str) -> Scenario:
     """Convenience plant-table format: one row per plant, market defaults."""
     reader = csv.DictReader(io.StringIO(text))
-    duplicate = _first_duplicate(reader.fieldnames or ())
-    if duplicate is not None:
-        raise ScenarioParseError(f"CSV plant table: {duplicate}: duplicate column")
-    if reader.fieldnames is None or set(reader.fieldnames) != _PLANT_KEYS:
-        raise ScenarioParseError(
-            f"CSV plant table must have exactly the columns {sorted(_PLANT_KEYS)}, "
-            f"got {reader.fieldnames}"
-        )
-    records = []
-    for row in reader:
-        if None in row:  # DictReader's key for values beyond the header
+    try:
+        duplicate = first_duplicate(reader.fieldnames or ())
+        if duplicate is not None:
+            raise ScenarioParseError(f"CSV plant table: {duplicate}: duplicate column")
+        if reader.fieldnames is None or set(reader.fieldnames) != _PLANT_KEYS:
             raise ScenarioParseError(
-                f"CSV plant table, line {reader.line_num}: more values than columns"
+                f"CSV plant table must have exactly the columns {sorted(_PLANT_KEYS)}, "
+                f"got {reader.fieldnames}"
             )
-        records.append(row)
+        records = []
+        for row in reader:
+            if None in row:  # DictReader's key for values beyond the header
+                raise ScenarioParseError(
+                    f"CSV plant table, line {reader.line_num}: more values than columns"
+                )
+            records.append(row)
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        line = reader.reader.line_num  # DictReader's own count lags a failed row
+        raise ScenarioParseError(f"CSV plant table, line {line}: {exc}") from None
     return _scenario_from_dict({"plants": records})
 
 
@@ -248,14 +250,15 @@ def _json_int(text: str) -> int | Fraction:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file (JSON, or CSV plant table)."""
+    """Parse and validate a scenario file (JSON, or CSV plant table). Each
+    distinct numeric literal is parsed once."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".csv":
         return _scenario_from_csv(text)
     try:
         doc = json.loads(text, object_pairs_hook=_json_object,
-                         parse_float=parse_number, parse_int=_json_int)
+                         parse_float=cache(parse_number), parse_int=cache(_json_int))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:

@@ -16,7 +16,8 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import Validated, exact_sum, frac, ratio_number, sorted_exact
+from ._numeric import Validated, coarse_runs, exact_sum, first_duplicate, frac
+from ._numeric import ratio_number, sort_runs
 from .plants import PowerPlant
 
 __all__ = [
@@ -103,22 +104,28 @@ def make_offers(
     phi: Mapping[str, Fraction],
     config: MarketConfig,
 ) -> list[Offer]:
-    """One offer per plant at full precision."""
+    """One offer per plant at full precision. Each distinct fee rate (per phi)
+    and offer price (per marginal cost and phi) is built once and shared."""
     # (1 - n/d)·(a/b) and mc + that are each built from ints as one Fraction
-    a, b = config.reference_price_p0.numerator, config.reference_price_p0.denominator
+    a, b = config.reference_price_p0.as_integer_ratio()
+    by_phi = {}  # phi's ints -> (fee rate, {mc's ints -> offer price})
     offers = []
-    for plant in plants:
-        if plant.id not in phi:
-            raise ValueError(f"no flexibility score for plant {plant.id!r}")
-        score = phi[plant.id]
-        fee_rate = Fraction((score.denominator - score.numerator) * a,
-                            score.denominator * b)
-        mc = plant.marginal_cost
-        offer_price = Fraction(
-            mc.numerator * fee_rate.denominator + fee_rate.numerator * mc.denominator,
-            mc.denominator * fee_rate.denominator,
-        )
-        offers.append(Offer(plant.id, offer_price, fee_rate, score, plant.capacity))
+    for plant_id, _, mc, capacity in plants:
+        try:
+            score = phi[plant_id]
+        except KeyError:
+            raise ValueError(f"no flexibility score for plant {plant_id!r}") from None
+        phi_ints = score.as_integer_ratio()
+        if phi_ints not in by_phi:
+            n, d = phi_ints
+            by_phi[phi_ints] = Fraction((d - n) * a, d * b), {}
+        fee_rate, prices = by_phi[phi_ints]
+        mc_ints = mc.as_integer_ratio()
+        offer_price = prices.get(mc_ints)
+        if offer_price is None:
+            (mn, md), (fn, fd) = mc_ints, fee_rate.as_integer_ratio()
+            offer_price = prices[mc_ints] = Fraction(mn * fd + fn * md, md * fd)
+        offers.append(Offer(plant_id, offer_price, fee_rate, score, capacity))
     return offers
 
 
@@ -126,18 +133,23 @@ def tie_key(phis: Iterable[Fraction]) -> Callable[[Fraction, str], tuple[int, st
     """The key that orders plants with equal offers, among these scores: a
     plant's (phi, id) maps to the rank of phi among the distinct scores,
     highest first, then the id. Equal offers compare on ints and ids."""
-    scores = {(p.numerator, p.denominator): p for p in phis}
-    ascending = sorted_exact(scores, scores.__getitem__, lambda key: 0)
-    rank = {key: -r for r, key in enumerate(ascending)}
-    return lambda phi, plant_id: (rank[phi.numerator, phi.denominator], plant_id)
+    scores = list(dict.fromkeys(p.as_integer_ratio() for p in phis))
+    ascending = sort_runs(*coarse_runs(scores), scores, lambda i: 0)  # no two are equal
+    rank = {scores[i]: -r for r, i in enumerate(ascending)}
+    return lambda phi, plant_id: (rank[phi.as_integer_ratio()], plant_id)
 
 
 def merit_order(offers: Sequence[Offer]) -> list[Offer]:
-    """Ascending by offer price; ties broken by higher phi, then plant id."""
+    """Ascending by offer price; ties broken by higher phi, then plant id. phi
+    is ranked only in the runs of `coarse_runs`, the only offers that can tie."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    key = tie_key(o.phi for o in offers)
-    return sorted_exact(offers, lambda o: o.offer_price, lambda o: key(o.phi, o.plant_id))
+    pairs = [o.offer_price.as_integer_ratio() for o in offers]
+    order, runs = coarse_runs(pairs)
+    tied = [i for part in runs for i in order[part]]
+    key = tie_key(offers[i].phi for i in tied)
+    ties = {i: key(offers[i].phi, offers[i].plant_id) for i in tied}
+    return [offers[i] for i in sort_runs(order, runs, pairs, ties.__getitem__)]
 
 
 def _fill(
@@ -156,10 +168,11 @@ def _fill(
     for capacity in capacities:
         if rest <= 0:
             break
-        common = gcd(den, capacity.denominator)
-        scaled = capacity.numerator * (den // common)  # over lcm(den, its den)
-        if common != capacity.denominator:
-            grow = capacity.denominator // common
+        n, d = capacity.as_integer_ratio()
+        common = gcd(den, d)
+        scaled = n * (den // common)  # over lcm(den, its den)
+        if common != d:
+            grow = d // common
             rest *= grow
             den *= grow
         rest -= scaled
@@ -175,11 +188,9 @@ def clear(offers: Sequence[Offer], config: MarketConfig) -> ClearingResult:
     total capacity is a blackout outcome (flag set, full dispatch at the
     highest offer), not an error, so reference-price sweeps can continue.
     """
-    offered: set[str] = set()
-    for offer in offers:
-        if offer.plant_id in offered:
-            raise ValueError(f"two offers for plant {offer.plant_id!r}")
-        offered.add(offer.plant_id)
+    ids = [offer.plant_id for offer in offers]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"two offers for plant {first_duplicate(ids)!r}")
     demand = config.demand
     stack = merit_order(offers) if offers else []
     count, rest, den = _fill((o.capacity for o in stack), demand)
@@ -208,8 +219,8 @@ def _product_sum(pairs: Iterable[tuple[Fraction | int, Fraction]]) -> Fraction:
     ints per product of denominators, and those sums by `exact_sum`."""
     groups: dict[int, int] = {}
     for x, y in pairs:
-        d = x.denominator * y.denominator
-        groups[d] = groups.get(d, 0) + x.numerator * y.numerator
+        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+        groups[xd * yd] = groups.get(xd * yd, 0) + xn * yn
     return exact_sum(Fraction(n, d) for d, n in groups.items())
 
 

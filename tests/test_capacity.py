@@ -85,6 +85,27 @@ class TestBuildPool:
         assert [pid for pid, _, _ in pool.participants] == ["hydro", "gas", "chp"]
         assert sum(settle(pool, Fraction(100)).payments.values()) == 100
 
+    @pytest.mark.parametrize("participants, dispatched, checked", [
+        (None, {"hydro", "chp"}, ["gas"]),  # auto: only the kept member
+        (("hydro", "gas"), set(), ["hydro", "gas"]),  # a list: whole, once
+    ])
+    def test_each_member_checked_once(self, monkeypatch, toy, phis, participants,
+                                      dispatched, checked):
+        seen = []
+        new = CapacityPool.__new__
+
+        def recording(cls, members, *args, **kwargs):
+            seen.extend(pid for pid, _, _ in members)
+            return new(cls, members, *args, **kwargs)
+
+        monkeypatch.setattr(CapacityPool, "__new__", staticmethod(recording))
+        config = CapacityConfig(participants=participants)
+        pool = build_pool(toy.plants, phis, config, dispatched)
+        assert seen == checked == [pid for pid, _, _ in pool.participants]
+        # a copy made by _replace is checked again
+        with pytest.raises(ValueError, match="does not exceed threshold"):
+            pool._replace(eligibility_threshold=Fraction(99, 100))
+
     def test_p_flex(self, toy, phis):
         pool = pool_of(toy, phis, ["hydro", "gas", "chp"])
         assert pool.p_flex == 5 * (phis["hydro"] + phis["gas"] + phis["chp"])

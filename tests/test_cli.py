@@ -131,6 +131,16 @@ class TestValidate:
         assert "out of range" in err
 
 
+    def test_csv_field_beyond_the_field_limit_exit_1(self, capsys, tmp_path):
+        # once a traceback ending "_csv.Error: field larger than field limit"
+        path = tmp_path / "big.csv"
+        path.write_text("id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw\n"
+                        f"a,1,10,{'7' * 200_000}\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: CSV plant table, line 2: field larger")
+        assert "Traceback" not in err
+
     def test_deeply_nested_json_exit_1(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

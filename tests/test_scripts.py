@@ -89,3 +89,16 @@ def test_bench_pairs_fails_on_an_incorrect_run(tmp_path):
                            fake_checkout(tmp_path / "change", 0.4, correct=False))
     assert done.returncode == 1
     assert "3 run(s) reported correct: false" in done.stderr
+
+
+def test_stage_pairs_times_every_stage_of_the_repo_against_itself(tmp_path):
+    done = run_script("stage_pairs.py", str(ROOT), str(ROOT), "--n", "50", "--pairs", "1",
+                      "--repeat", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "N = 50 decimal, seed 1, 1 pairs" in done.stdout
+    stages = [line.split(":")[0].strip() for line in done.stdout.splitlines()
+              if line.startswith("  ")]
+    assert stages == ["load_scenario", "flexibilities", "make_offers", "merit_order", "clear",
+                      "clear_scenario", "emit_report", "build_pool", "settle",
+                      "load_scenario+clear_scenario"]
+    assert all("; won " in line for line in done.stdout.splitlines() if line.startswith("  "))
