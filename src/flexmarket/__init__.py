@@ -1,34 +1,48 @@
 """Electricity spot-market simulator with operational-inflexibility fees
-funding capacity-reserve reliability payments."""
+funding capacity-reserve reliability payments. The public names load lazily
+(PEP 562): each imports its own module on first use."""
 
-from .analysis import SweepPoint, SweepResult, SweepRun, clear_scenario, sweep_p0
-from .capacity import (
-    CapacityConfig,
-    CapacityPool,
-    CapacitySettlement,
-    UnallocatableFeeError,
-    build_pool,
-    eligible_plants,
-    settle,
-)
-from .flexibility import StartUpTime, flexibility, validate_measure
-from .plants import PowerPlant, flexibilities_for
-from .reports import emit_report, emit_settlement, emit_sweep
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    toy_grid,
-)
-from .spotmarket import (
-    ClearingResult,
-    MarketConfig,
-    Offer,
-    clear,
-    make_offers,
-    market_wide_fee_intensity,
-    merit_order,
-    total_fee,
-)
+import sys
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "analysis": ("SweepPoint", "SweepResult", "SweepRun", "clear_scenario", "sweep_p0"),
+    "capacity": ("CapacityPool", "CapacitySettlement", "UnallocatableFeeError",
+                 "build_pool", "eligible_plants", "settle"),
+    "flexibility": ("StartUpTime", "flexibility", "validate_measure"),
+    "plants": ("PowerPlant", "flexibilities_for"),
+    "reports": ("emit_report", "emit_settlement", "emit_sweep"),
+    "scenario": ("CapacityConfig", "MarketConfig", "Scenario", "ScenarioError",
+                 "load_scenario", "toy_grid"),
+    "spotmarket": ("ClearingResult", "Offer", "clear", "make_offers",
+                   "market_wide_fee_intensity", "merit_order", "total_fee"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(type(sys)):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Loading a submodule binds it here by its name, which for
+        # `flexibility` is also a public function's: the function stays.
+        if name in _MODULE_OF and isinstance(value, type(sys)):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -205,6 +205,11 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     return terms[0] if terms else Fraction(0)
 
 
+# Report formats and rounding modes: here, so the CLI offers them without `reports`.
+FORMATS = ("plain-table", "csv", "json", "svg-stack")
+ROUNDING_MODES = ("exact", "paper-rounded")
+
+
 def to_float(x: Fraction) -> float:
     """The nearest float to x; ValueError if x is beyond the float range."""
     try:

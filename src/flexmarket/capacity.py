@@ -14,6 +14,7 @@ from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequenc
 
 from ._numeric import Validated, coarse_runs, exact_sum, frac, sort_runs
 from .plants import PowerPlant
+from .scenario import CapacityConfig
 
 __all__ = [
     "UnallocatableFeeError", "CapacityConfig", "CapacityPool", "CapacitySettlement",
@@ -25,40 +26,6 @@ __all__ = [
 class UnallocatableFeeError(ValueError):
     """A positive fee pool with no reserve plant to receive it: the
     depletion paradox (`is_paradox`)."""
-
-
-class _CapacityConfigFields(NamedTuple):
-    threshold: Fraction
-    participants: tuple[str, ...] | None
-    allow_overlap: bool
-
-
-class CapacityConfig(Validated, _CapacityConfigFields):
-    """Eligibility threshold in (0, 1), the reserve participants (None for
-    "auto", else distinct plant ids) and whether dispatched plants may join."""
-
-    __slots__ = ()
-
-    def __new__(cls, threshold: Fraction = Fraction(1, 2),
-                participants: tuple[str, ...] | None = None,
-                allow_overlap: bool = False) -> CapacityConfig:
-        threshold = frac(threshold)
-        if not (0 < threshold < 1):
-            raise ValueError("threshold: must lie in (0, 1)")
-        seen: set[str] = set()
-        for i, pid in enumerate(participants or ()):
-            if not isinstance(pid, str):
-                raise ValueError(
-                    f"participants[{i}]: expected a plant id string, got {pid!r}"
-                )
-            if pid in seen:
-                raise ValueError(f"participants[{i}]: plant id {pid!r} is listed twice")
-            seen.add(pid)
-        if not isinstance(allow_overlap, bool):
-            raise ValueError(
-                f"allow_overlap: expected true or false, got {allow_overlap!r}"
-            )
-        return super().__new__(cls, threshold, participants, allow_overlap)
 
 
 class _CapacityPoolFields(NamedTuple):

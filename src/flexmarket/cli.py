@@ -3,6 +3,10 @@
 Subcommands: validate, clear, sweep, capacity. Exit codes: 0 success,
 1 validation error, 2 I/O error, 3 paradox (with --fail-on-paradox, or a
 capacity settlement with no one to pay).
+
+Each command imports the pipeline modules it runs when it runs, so `validate`
+loads only the scenario model: without a bytecode cache, each call compiles
+every module it imports.
 """
 
 from __future__ import annotations
@@ -10,13 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ._numeric import frac, to_number
-from .analysis import P0Grid, clear_scenario, p0_range, sweep_p0
-from .capacity import UnallocatableFeeError, build_pool, settle
-from .reports import FORMATS, ROUNDING_MODES, check_format, emit_report, emit_settlement
-from .reports import emit_sweep
-from .scenario import Scenario, ScenarioError, load_scenario
+from ._numeric import FORMATS, ROUNDING_MODES, frac, to_number
+from .scenario import ScenarioError, load_scenario
+
+if TYPE_CHECKING:
+    from .analysis import P0Grid
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -70,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(spec: str) -> P0Grid:
+    from .analysis import p0_range
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = frac(lo_s), frac(hi_s), frac(step_s)
@@ -98,6 +103,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clear(args: argparse.Namespace) -> int:
+    from .analysis import clear_scenario
+    from .reports import emit_report
     scenario = load_scenario(args.scenario)
     if args.demand is not None:
         market = scenario.market._replace(demand=frac(args.demand))
@@ -110,6 +117,8 @@ def _cmd_clear(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import sweep_p0
+    from .reports import check_format, emit_sweep
     check_format("sweep", args.format, args.rounding)
     scenario = load_scenario(args.scenario)
     sweep = sweep_p0(scenario, _parse_grid(args.p0_grid))
@@ -122,6 +131,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .analysis import clear_scenario
+    from .capacity import UnallocatableFeeError, build_pool, settle
+    from .reports import check_format, emit_settlement
     check_format("settlement", args.format, args.rounding)
     scenario = load_scenario(args.scenario)
     result = clear_scenario(scenario)

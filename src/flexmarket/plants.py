@@ -12,7 +12,8 @@ __all__ = ["PlantIdError", "PowerPlant", "flexibilities_for"]
 
 
 class PlantIdError(ValueError):
-    """A plant id that is not a non-empty string."""
+    """A plant id that is not a non-empty string, or that a report cannot write
+    as one field: unprintable, or holding `,`, `"` or a sweep's `|` joiner."""
 
 
 class _PowerPlantFields(NamedTuple):
@@ -34,6 +35,9 @@ class PowerPlant(Validated, _PowerPlantFields):
             marginal_cost, capacity = frac(marginal_cost), frac(capacity)
         if not isinstance(id, str) or not id:
             raise PlantIdError(f"plant id must be a non-empty string, got {id!r}")
+        if not id.isprintable() or "," in id or '"' in id or "|" in id:
+            raise PlantIdError(f"plant id must be printable, without ',', '\"' or '|', "
+                               f"got {id!r}")
         if marginal_cost.numerator < 0:
             raise ValueError(f"{id}: marginal_cost must be >= 0")
         if capacity.numerator <= 0:

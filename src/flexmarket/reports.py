@@ -14,18 +14,18 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._numeric import exact_sum, ratio_column, ratio_number, sorted_exact
-from ._numeric import to_float, to_number
-from .analysis import SweepResult
-from .capacity import CapacitySettlement
+from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number
+from ._numeric import sorted_exact, to_float, to_number
 from .spotmarket import ClearingResult, total_fee
+
+if TYPE_CHECKING:  # for annotations only
+    from .analysis import SweepResult
+    from .capacity import CapacitySettlement
 
 __all__ = ["check_format", "emit_report", "emit_sweep", "emit_settlement"]
 
-FORMATS = ("plain-table", "csv", "json", "svg-stack")
-ROUNDING_MODES = ("exact", "paper-rounded")
 _NO_STACK = {"sweep": "single clearings, not sweeps",
              "settlement": "clearings, not settlements"}
 
@@ -219,7 +219,7 @@ def _svg_stack(result: ClearingResult) -> bytes:
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
     ]
-    cursor = 0.0
+    cursor, escape = 0.0, str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
     for i, offer in enumerate(result.offers):
         mw = to_float(offer.capacity)
         price = to_float(offer.offer_price)
@@ -232,7 +232,7 @@ def _svg_stack(result: ClearingResult) -> bytes:
         )
         parts.append(
             f'<text x="{(x0 + x1) / 2:.2f}" y="{height - margin + 14:.0f}" '
-            f'font-size="10" text-anchor="middle">{offer.plant_id}</text>'
+            f'font-size="10" text-anchor="middle">{offer.plant_id.translate(escape)}</text>'
         )
         cursor += mw
     p_star_y = y(clearing_price)

@@ -1,4 +1,5 @@
-"""Scenario model and file ingestion (JSON canonical, CSV plant table).
+"""Scenario model, with its market and capacity settings, and file ingestion
+(JSON canonical, CSV plant table).
 
 Scenario numbers are parsed into exact fractions; `start_up_time_h` accepts
 the string "inf" for plants with no guaranteed start-up. The parser checks
@@ -9,7 +10,6 @@ to that type's error.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from functools import cache
@@ -18,12 +18,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, first_duplicate, frac, parse_number
-from .capacity import CapacityConfig, reserve_candidates
 from .flexibility import StartUpTime
 from .plants import PlantIdError, PowerPlant, flexibilities_for
-from .spotmarket import MarketConfig
 
 __all__ = [
+    "MarketConfig",
+    "CapacityConfig",
     "ScenarioError",
     "ScenarioParseError",
     "UnknownMeasureError",
@@ -55,6 +55,63 @@ class InvalidNumberError(ScenarioError):
     """A numeric field is missing, non-numeric, or out of range."""
 
 
+class _MarketConfigFields(NamedTuple):
+    reference_price_p0: Fraction
+    demand: Fraction
+    period: Fraction
+
+
+class MarketConfig(Validated, _MarketConfigFields):
+    """Reference price p0 (EUR/MWh), demand (MW), period (h)."""
+
+    __slots__ = ()
+
+    def __new__(cls, reference_price_p0: Fraction, demand: Fraction,
+                period: Fraction = Fraction(1)) -> MarketConfig:
+        p0, demand, period = frac(reference_price_p0), frac(demand), frac(period)
+        if p0.numerator < 0:
+            raise ValueError("reference price p0 must be >= 0")
+        if demand.numerator < 0:
+            raise ValueError("demand must be >= 0")
+        if period.numerator <= 0:
+            raise ValueError("period must be > 0")
+        return super().__new__(cls, p0, demand, period)
+
+
+class _CapacityConfigFields(NamedTuple):
+    threshold: Fraction
+    participants: tuple[str, ...] | None
+    allow_overlap: bool
+
+
+class CapacityConfig(Validated, _CapacityConfigFields):
+    """Eligibility threshold in (0, 1), the reserve participants (None for
+    "auto", else distinct plant ids) and whether dispatched plants may join."""
+
+    __slots__ = ()
+
+    def __new__(cls, threshold: Fraction = Fraction(1, 2),
+                participants: tuple[str, ...] | None = None,
+                allow_overlap: bool = False) -> CapacityConfig:
+        threshold = frac(threshold)
+        if not (0 < threshold < 1):
+            raise ValueError("threshold: must lie in (0, 1)")
+        seen: set[str] = set()
+        for i, pid in enumerate(participants or ()):
+            if not isinstance(pid, str):
+                raise ValueError(
+                    f"participants[{i}]: expected a plant id string, got {pid!r}"
+                )
+            if pid in seen:
+                raise ValueError(f"participants[{i}]: plant id {pid!r} is listed twice")
+            seen.add(pid)
+        if not isinstance(allow_overlap, bool):
+            raise ValueError(
+                f"allow_overlap: expected true or false, got {allow_overlap!r}"
+            )
+        return super().__new__(cls, threshold, participants, allow_overlap)
+
+
 class _ScenarioFields(NamedTuple):
     plants: tuple[PowerPlant, ...]
     market: MarketConfig
@@ -82,6 +139,7 @@ class Scenario(Validated, _ScenarioFields):
             raise DuplicatePlantIdError(f"plants: duplicate plant id {duplicate!r}")
         pinned = capacity.participants
         if pinned is not None:
+            from .capacity import reserve_candidates  # only a pinned pool needs it
             listed = [by_id[pid] for pid in pinned if pid in by_id]
             try:
                 reserve_candidates(plants, flexibilities_for(listed), capacity)
@@ -219,6 +277,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
 
 def _scenario_from_csv(text: str) -> Scenario:
     """Convenience plant-table format: one row per plant, market defaults."""
+    import csv  # only a CSV plant table needs it
     reader = csv.DictReader(io.StringIO(text))
     try:
         duplicate = first_duplicate(reader.fieldnames or ())

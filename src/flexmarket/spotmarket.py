@@ -16,9 +16,9 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import Validated, coarse_runs, exact_sum, first_duplicate, frac
-from ._numeric import ratio_number, sort_runs
+from ._numeric import coarse_runs, exact_sum, first_duplicate, ratio_number, sort_runs
 from .plants import PowerPlant
+from .scenario import MarketConfig
 
 __all__ = [
     "MarketConfig",
@@ -30,29 +30,6 @@ __all__ = [
     "total_fee",
     "market_wide_fee_intensity",
 ]
-
-
-class _MarketConfigFields(NamedTuple):
-    reference_price_p0: Fraction
-    demand: Fraction
-    period: Fraction
-
-
-class MarketConfig(Validated, _MarketConfigFields):
-    """Reference price p0 (EUR/MWh), demand (MW), period (h)."""
-
-    __slots__ = ()
-
-    def __new__(cls, reference_price_p0: Fraction, demand: Fraction,
-                period: Fraction = Fraction(1)) -> MarketConfig:
-        p0, demand, period = frac(reference_price_p0), frac(demand), frac(period)
-        if p0.numerator < 0:
-            raise ValueError("reference price p0 must be >= 0")
-        if demand.numerator < 0:
-            raise ValueError("demand must be >= 0")
-        if period.numerator <= 0:
-            raise ValueError("period must be > 0")
-        return super().__new__(cls, p0, demand, period)
 
 
 class Offer(NamedTuple):

@@ -19,11 +19,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def record_calls(monkeypatch, *names):
-    """Replace these names in the CLI module by stubs that record each call."""
+def record_calls(monkeypatch, *targets):
+    """Replace these functions, each "module.name" in flexmarket, by stubs
+    that record each call by name. A command imports the functions it runs
+    when it runs, so a stub in their own module is the one it calls."""
     calls = []
-    for name in names:
-        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    for target in targets:
+        name = target.rpartition(".")[2]
+        monkeypatch.setattr(f"flexmarket.{target}",
+                            lambda *args, name=name: calls.append(name))
     return calls
 
 
@@ -110,6 +114,19 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize("bad_id", ["wi,nd\nx", "a|b", 'say "wind"', "w\ud800"])
+    def test_id_no_report_can_write_exit_1(self, capsys, tmp_path, toy_grid_path, bad_id):
+        # each once validated, then split a CSV row, made a sweep's joined ids
+        # ambiguous, or failed to encode only after the whole computation
+        doc = json.loads(toy_grid_path.read_text())
+        doc["plants"][0]["id"] = bad_id
+        path = tmp_path / "bad-id.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("validation error: plants[0]: plant id must be printable")
+        assert repr(bad_id) in err
 
     def test_duplicate_key_exit_1(self, capsys, tmp_path, toy_grid_path):
         # once validated as the later 500 MW and exited 0
@@ -310,7 +327,7 @@ class TestSweep:
 
     def test_svg_stack_rejected_before_the_sweep(self, capsys, monkeypatch,
                                                  toy_grid_path):
-        calls = record_calls(monkeypatch, "load_scenario", "sweep_p0")
+        calls = record_calls(monkeypatch, "cli.load_scenario", "analysis.sweep_p0")
         code, out, err = run(capsys, "sweep", str(toy_grid_path), "--p0-grid",
                              "0:80:1/100", "--format", "svg-stack")
         assert (code, out, calls) == (1, "", [])
@@ -381,7 +398,7 @@ class TestCapacity:
 
     def test_svg_stack_rejected_before_the_clearing(self, capsys, monkeypatch,
                                                     toy_grid_path):
-        calls = record_calls(monkeypatch, "load_scenario", "clear_scenario")
+        calls = record_calls(monkeypatch, "cli.load_scenario", "analysis.clear_scenario")
         code, out, err = run(capsys, "capacity", str(toy_grid_path),
                              "--format", "svg-stack")
         assert (code, out, calls) == (1, "", [])

@@ -76,10 +76,12 @@ class TestEmitReportMatchesRowDicts:
 
 
 # Plant ids with the characters a row template or an encoder treats
-# specially: format and %-directives, quotes, backslashes, separators and
-# non-ASCII text; one for each plant a drawn scenario can have.
-ODD_IDS = ["a%s", "b%%", 'c"q', "d{0}", "e}", "\u00e9\u6f22", "f\\g", "g\th", "h,i", "i  j",
-           "j;k", "k'l"]
+# specially: format and %-directives, markup, backslashes and escape-like
+# text, comment marks, separators and non-ASCII text; one for each plant a
+# drawn scenario can have. (`PowerPlant` rejects ids with `,`, `"`, `|` or
+# unprintable characters, which no report could write as one field.)
+ODD_IDS = ["a%s", "b%%", "c<q>&", "d{0}", "e}", "\u00e9\u6f22", "f\\g", "g\\u0009h",
+           "h# i", "i  j", "j;k", "k'l"]
 
 
 def renamed(doc, ids):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flexmarket.flexibility import StartUpTime, flexibility, validate_measure
-from flexmarket.plants import PowerPlant, flexibilities_for
+from flexmarket.plants import PlantIdError, PowerPlant, flexibilities_for
 
 
 def plant(pid="p", hours="1", mc=10, cap=5):
@@ -23,6 +23,21 @@ class TestPowerPlant:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             plant(cap=0)
+
+    @pytest.mark.parametrize("pid", ["A&B <1>", "gas 2", "Kraftwerk Süd", "<'>"])
+    def test_printable_ids_accepted(self, pid):
+        assert plant(pid).id == pid
+
+    @pytest.mark.parametrize("pid", ["a,b", 'a"b', "a|b", "a\nb", "a\tb", "a\x00",
+                                     "w\ud800", "\u2028"])
+    def test_id_no_report_can_write_rejected(self, pid):
+        with pytest.raises(PlantIdError, match="plant id must be printable, without"):
+            plant(pid)
+
+    @pytest.mark.parametrize("pid", ["", 7, None])
+    def test_id_that_is_no_string_keeps_its_message(self, pid):
+        with pytest.raises(PlantIdError, match=f"non-empty string, got {pid!r}$"):
+            plant(pid)
 
 
 class TestFlexibilityOf:

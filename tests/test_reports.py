@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket.reports import _json_bytes, emit_report, emit_settlement, emit_sweep
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import MarketConfig, clear
+
+SVG = "http://www.w3.org/2000/svg"
 
 TABLE_II = {
     10: {"wind": 11, "hydro": 1, "gas": 91, "chp": 51, "ccgt": 58, "coal": 69,
@@ -80,6 +83,15 @@ class TestEmitReport:
         assert "stroke-dasharray" in svg  # clearing-price rule
         for offer in result.offers:
             assert offer.plant_id in svg
+
+    def test_svg_escapes_plant_ids(self):
+        toy = toy_grid(10, 25)
+        plants = (toy.plants[0]._replace(id="A&B <1>"), *toy.plants[1:])
+        svg = emit_report(clear_scenario(toy._replace(plants=plants)), "svg-stack").decode()
+        assert ">A&amp;B &lt;1&gt;</text>" in svg
+        assert "A&B" not in svg
+        labels = [t.text for t in ElementTree.fromstring(svg).iter(f"{{{SVG}}}text")]
+        assert "A&B <1>" in labels
 
     def test_blackout_flag_in_report(self):
         doc = json.loads(emit_report(clear_scenario(toy_grid(10, 45)), "json"))

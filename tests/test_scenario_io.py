@@ -325,6 +325,7 @@ _SECTIONS = ("plants", "market", "capacity", "measure", "scenario document")
 # Values that break one scenario rule each, written over a valid document.
 _BREAKS = [
     (("plants", 1, "id"), "p0"), (("plants", 1, "id"), ""), (("plants", 1, "id"), 7),
+    (("plants", 1, "id"), "wi,nd\nx"),
     (("plants", 1, "start_up_time_h"), -1),
     (("plants", 1, "marginal_cost_eur_per_mwh"), "-1/2"),
     (("plants", 1, "capacity_mw"), 0),

@@ -102,3 +102,30 @@ def test_stage_pairs_times_every_stage_of_the_repo_against_itself(tmp_path):
                       "clear_scenario", "emit_report", "build_pool", "settle",
                       "load_scenario+clear_scenario"]
     assert all("; won " in line for line in done.stdout.splitlines() if line.startswith("  "))
+
+
+def test_cli_pairs_times_the_repo_against_itself(tmp_path):
+    done = run_script("cli_pairs.py", str(ROOT), str(ROOT), "--pairs", "2", "--",
+                      "validate", "scenarios/toy-grid.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "validate scenarios/toy-grid.json: 2 pairs, exit 0, 47 stdout bytes"
+    assert [line.split(":")[0] for line in lines[1:]] == ["  parent", "  change", "  pairs won"]
+    assert all(" ms, mean " in line for line in lines[1:3])
+
+
+def fake_cli_checkout(root, output):
+    """A checkout whose CLI prints `output` and exits 0."""
+    (root / "src" / "flexmarket").mkdir(parents=True)
+    (root / "src" / "flexmarket" / "__init__.py").write_text("")
+    (root / "src" / "flexmarket" / "cli.py").write_text(f"print({output!r})\n")
+    return root
+
+
+def test_cli_pairs_fails_when_the_stdout_differs(tmp_path):
+    done = run_script("cli_pairs.py", str(fake_cli_checkout(tmp_path / "parent", "a")),
+                      str(fake_cli_checkout(tmp_path / "change", "b")), "--pairs", "2",
+                      "--", "validate", "x.json", cwd=tmp_path)
+    assert done.returncode == 1
+    assert "pair 1, change: exit 0, 2 stdout bytes" in done.stderr
+    assert "pair 2, parent" not in done.stderr
