@@ -32,14 +32,13 @@ from bench_pairs import SIDES, summary
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# One process of one side: prints {stage: best seconds} as JSON.
+# One process of one side: prints {stage: best seconds} as JSON. It imports
+# each stage by its public name, which stays the same in both checkouts when
+# the module that defines the stage does not.
 WORKER = """
 import json, sys, time
-from flexmarket.analysis import clear_scenario
-from flexmarket.capacity import build_pool, settle
-from flexmarket.reports import emit_report
-from flexmarket.scenario import load_scenario
-from flexmarket.spotmarket import clear, make_offers, merit_order
+from flexmarket import (build_pool, clear, clear_scenario, emit_report, load_scenario,
+                        make_offers, merit_order, settle)
 
 path, repeat = sys.argv[1], int(sys.argv[2])
 times = {}

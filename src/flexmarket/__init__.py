@@ -2,20 +2,18 @@
 funding capacity-reserve reliability payments. The public names load lazily
 (PEP 562): each imports its own module on first use."""
 
-import sys
-
 __version__ = "0.1.0"
 
 _HOMES = {
-    "analysis": ("SweepPoint", "SweepResult", "SweepRun", "clear_scenario", "sweep_p0"),
+    "analysis": ("SweepPoint", "SweepResult", "SweepRun", "sweep_p0"),
     "capacity": ("CapacityPool", "CapacitySettlement", "UnallocatableFeeError",
                  "build_pool", "eligible_plants", "settle"),
-    "flexibility": ("StartUpTime", "flexibility", "validate_measure"),
-    "plants": ("PowerPlant", "flexibilities_for"),
+    "plants": ("PowerPlant", "StartUpTime", "flexibilities_for", "flexibility",
+               "validate_measure"),
     "reports": ("emit_report", "emit_settlement", "emit_sweep"),
     "scenario": ("CapacityConfig", "MarketConfig", "Scenario", "ScenarioError",
                  "load_scenario", "toy_grid"),
-    "spotmarket": ("ClearingResult", "Offer", "clear", "make_offers",
+    "spotmarket": ("ClearingResult", "Offer", "clear", "clear_scenario", "make_offers",
                    "market_wide_fee_intensity", "merit_order", "total_fee"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
@@ -35,14 +33,3 @@ def __getattr__(name: str) -> object:
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(type(sys)):
-    def __setattr__(self, name: str, value: object) -> None:
-        # Loading a submodule binds it here by its name, which for
-        # `flexibility` is also a public function's: the function stays.
-        if name in _MODULE_OF and isinstance(value, type(sys)):
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -16,7 +16,8 @@ from typing import Iterator, NamedTuple, Sequence
 from ._numeric import frac
 from .capacity import is_paradox, reserve_candidates, reserve_members
 from .scenario import Scenario, ScenarioError
-from .spotmarket import ClearingResult, _fill, clear, make_offers, tie_key
+from .spotmarket import _fill, tie_key
+from .spotmarket import clear_scenario  # perfbench/spans.py traces it at this path
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -24,7 +25,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepRun",
-    "clear_scenario",
     "p0_range",
     "sweep_p0",
 ]
@@ -119,15 +119,6 @@ class SweepResult:
         return tuple(points)
 
 
-def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingResult:
-    """Run one spot clearing of the scenario, optionally overriding p0."""
-    config = scenario.market
-    if p0 is not None:
-        config = config._replace(reference_price_p0=p0)
-    offers = make_offers(scenario.plants, scenario.flexibilities(), config)
-    return clear(offers, config)
-
-
 def _scaled(x: Fraction, den: int) -> int:
     """x·den as an int; den must be a multiple of x's denominator."""
     return x.numerator * (den // x.denominator)
@@ -195,10 +186,10 @@ def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
 def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepResult:
     """Clear the scenario at every grid point, as runs of one merit order.
 
-    Each point gives the same result as `clear_scenario` at that p0. Scoring,
-    eligibility and an integer scaling of the plants are done once per
-    scenario, and the grid is ints a over one den: a `P0Grid`, which any
-    other grid becomes, over the lcm of its denominators. Every offer
+    Each point gives the same result as `spotmarket.clear_scenario` at that
+    p0. Scoring, eligibility and an integer scaling of the plants are done
+    once per scenario, and the grid is ints a over one den: a `P0Grid`,
+    which any other grid becomes, over the lcm of its denominators. Every offer
     mc_i + (1 - phi_i)·p0 is linear in p0: with one common denominator D
     over all mc_i and 1 - phi_i, the offers at p0 = a/den are
     (M_i·den + F_i·a) / (D·den) for the integers M_i = mc_i·D and

@@ -103,7 +103,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clear(args: argparse.Namespace) -> int:
-    from .analysis import clear_scenario
+    from .spotmarket import clear_scenario
     from .reports import emit_report
     scenario = load_scenario(args.scenario)
     if args.demand is not None:
@@ -131,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    from .analysis import clear_scenario
+    from .spotmarket import clear_scenario
     from .capacity import UnallocatableFeeError, build_pool, settle
     from .reports import check_format, emit_settlement
     check_format("settlement", args.format, args.rounding)

@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, first_duplicate, frac, parse_number
-from .flexibility import StartUpTime
-from .plants import PlantIdError, PowerPlant, flexibilities_for
+from .plants import PlantIdError, PowerPlant, StartUpTime, flexibilities_for
 
 __all__ = [
     "MarketConfig",

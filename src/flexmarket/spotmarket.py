@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._numeric import coarse_runs, exact_sum, first_duplicate, ratio_number, sort_runs
 from .plants import PowerPlant
-from .scenario import MarketConfig
+from .scenario import MarketConfig, Scenario
 
 __all__ = [
     "MarketConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "make_offers",
     "merit_order",
     "clear",
+    "clear_scenario",
     "total_fee",
     "market_wide_fee_intensity",
 ]
@@ -189,6 +190,15 @@ def clear(offers: Sequence[Offer], config: MarketConfig) -> ClearingResult:
         blackout=rest > 0,
         offers=tuple(stack),
     )
+
+
+def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingResult:
+    """Run one spot clearing of the scenario, optionally overriding p0."""
+    config = scenario.market
+    if p0 is not None:
+        config = config._replace(reference_price_p0=p0)
+    offers = make_offers(scenario.plants, scenario.flexibilities(), config)
+    return clear(offers, config)
 
 
 def _product_sum(pairs: Iterable[tuple[Fraction | int, Fraction]]) -> Fraction:

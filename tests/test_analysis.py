@@ -5,15 +5,13 @@ import pytest
 from flexmarket.analysis import (
     MAX_GRID_POINTS,
     P0Grid,
-    clear_scenario,
     p0_range,
     sweep_p0,
 )
 from flexmarket.capacity import eligible_plants
-from flexmarket.flexibility import StartUpTime
-from flexmarket.plants import PowerPlant
+from flexmarket.plants import PowerPlant, StartUpTime
 from flexmarket.scenario import Scenario, ScenarioError, toy_grid
-from flexmarket.spotmarket import MarketConfig
+from flexmarket.spotmarket import MarketConfig, clear_scenario
 from reference import sweep_rows
 
 

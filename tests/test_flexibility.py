@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flexmarket.flexibility import StartUpTime, flexibility, validate_measure
+from flexmarket.plants import StartUpTime, flexibility, validate_measure
 
 
 def grid(*hours):

@@ -1,10 +1,12 @@
 """What each entry point loads, in fresh processes. Without a bytecode cache
 every module a CLI call imports is compiled again, so `validate` loads only
-the model layer (`_numeric`, `flexibility`, `plants`, `scenario`) and
-`import flexmarket` no submodule; the public names still load on use."""
+the model layer (`_numeric`, `plants`, `scenario`), each other command only
+the pipeline modules it runs, and `import flexmarket` no submodule; the
+public names still load on use."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +30,8 @@ PUBLIC = [
     "toy_grid", "validate_measure",
 ]
 
-MODEL_LAYER = ["flexmarket", "flexmarket._numeric", "flexmarket.cli",
-               "flexmarket.flexibility", "flexmarket.plants", "flexmarket.scenario"]
+MODEL_LAYER = ["flexmarket", "flexmarket._numeric", "flexmarket.cli", "flexmarket.plants",
+               "flexmarket.scenario"]
 
 # prints the flexmarket modules and csv that the process has loaded
 LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
@@ -46,14 +48,17 @@ def fresh(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("scenario, extra", [
-    ("toy-grid.json", []),
-    ("toy-grid-pinned.json", ["flexmarket.capacity"]),  # checks the pinned pool
-])
-def test_validate_loads_the_model_layer_alone(scenario, extra):
-    code = ("from flexmarket.cli import main\n"
-            f"assert main(['validate', 'scenarios/{scenario}']) == 0")
-    assert fresh(code) == sorted(MODEL_LAYER + extra)
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", "scenarios/toy-grid.json"], []),
+    (["validate", "scenarios/toy-grid-pinned.json"], ["capacity"]),  # checks the pinned pool
+    (["clear", "scenarios/toy-grid.json"], ["spotmarket", "reports"]),
+    (["capacity", "scenarios/toy-grid.json"], ["spotmarket", "reports", "capacity"]),
+    (["sweep", "scenarios/toy-grid.json", "--p0-grid", "0:80:10"],
+     ["spotmarket", "reports", "capacity", "analysis"]),
+], ids=["validate", "validate-pinned", "clear", "capacity", "sweep"])
+def test_command_loads_only_what_it_runs(argv, extra):
+    code = f"from flexmarket.cli import main\nassert main({argv!r}) == 0"
+    assert fresh(code) == sorted(MODEL_LAYER + [f"flexmarket.{m}" for m in extra])
 
 
 def test_import_flexmarket_loads_no_submodule():
@@ -62,6 +67,13 @@ def test_import_flexmarket_loads_no_submodule():
 
 def test_all_lists_the_public_names():
     assert sorted(flexmarket.__all__) == PUBLIC
+
+
+def test_no_submodule_shares_a_public_name():
+    # importing a submodule binds it on the package by its name, which would
+    # replace a public name it shared
+    submodules = {module.name for module in pkgutil.iter_modules(flexmarket.__path__)}
+    assert submodules & set(flexmarket.__all__) == set()
 
 
 def test_public_names_load_on_use_in_a_fresh_process():
@@ -76,8 +88,8 @@ def test_public_names_load_on_use_in_a_fresh_process():
 
 @pytest.mark.parametrize("name", PUBLIC)
 def test_public_name_is_its_modules_object(name):
-    # here every submodule is loaded; loading `flexmarket.flexibility` binds
-    # that name on the package, which must stay the function
+    # here every submodule is loaded, and each is bound on the package by its
+    # own name, which no public name shares
     value = getattr(flexmarket, name)
     assert not isinstance(value, ModuleType)
     assert getattr(sys.modules[value.__module__], name) is value

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from flexmarket.capacity import CapacityConfig, CapacityPool
-from flexmarket.flexibility import StartUpTime
+from flexmarket.plants import StartUpTime
 from flexmarket.scenario import ScenarioParseError, toy_grid
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from flexmarket.flexibility import StartUpTime, flexibility, validate_measure
-from flexmarket.plants import PlantIdError, PowerPlant, flexibilities_for
+from flexmarket.plants import (
+    PlantIdError, PowerPlant, StartUpTime, flexibilities_for, flexibility, validate_measure,
+)
 
 
 def plant(pid="p", hours="1", mc=10, cap=5):

@@ -6,8 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.capacity import CapacityConfig, CapacityPool, build_pool, settle
-from flexmarket.flexibility import StartUpTime, flexibility
-from flexmarket.plants import PowerPlant, flexibilities_for
+from flexmarket.plants import PowerPlant, StartUpTime, flexibilities_for, flexibility
 from flexmarket.spotmarket import MarketConfig, clear, make_offers
 
 RUNS = settings(max_examples=200, deadline=None)

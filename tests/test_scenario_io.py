@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexmarket.capacity import CapacityConfig
-from flexmarket.flexibility import StartUpTime
-from flexmarket.plants import PowerPlant
+from flexmarket.plants import PowerPlant, StartUpTime
 from flexmarket.scenario import (
     DuplicatePlantIdError,
     InvalidNumberError,

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from flexmarket._numeric import ratio_number
-from flexmarket.analysis import clear_scenario
-from flexmarket.flexibility import StartUpTime
-from flexmarket.plants import PowerPlant
+from flexmarket.plants import PowerPlant, StartUpTime
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import (
     MarketConfig,
     Offer,
     clear,
+    clear_scenario,
     make_offers,
     market_wide_fee_intensity,
     merit_order,
