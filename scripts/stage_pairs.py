@@ -10,11 +10,11 @@ Python process per checkout, with that checkout's src/ on the path; the side
 that runs first alternates from pair to pair, so a drift in the host's speed
 falls on both sides alike. A process times each stage in-process, the best
 of --repeat calls: load_scenario, flexibilities, make_offers, merit_order,
-clear, clear_scenario, emit_report (json), build_pool and settle, each on
-the result of the stage before it. For each stage, and for load_scenario +
-clear_scenario, the script prints each side's median and quartiles in ms,
-the ratio of the medians and how many pairs each side won. It exits 1 if a
-process fails, and 2 on bad arguments.
+clear, clear_scenario, emit_report (json), build_pool, settle and
+emit_settlement (json), each on the result of the stage before it. For each
+stage, and for load_scenario + clear_scenario, the script prints each side's
+median and quartiles in ms, the ratio of the medians and how many pairs each
+side won. It exits 1 if a process fails, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the module that defines the stage does not.
 WORKER = """
 import json, sys, time
-from flexmarket import (build_pool, clear, clear_scenario, emit_report, load_scenario,
-                        make_offers, merit_order, settle)
+from flexmarket import (build_pool, clear, clear_scenario, emit_report, emit_settlement,
+                        load_scenario, make_offers, merit_order, settle)
 
 path, repeat = sys.argv[1], int(sys.argv[2])
 times = {}
@@ -62,7 +62,8 @@ result = stage("clear_scenario", lambda: clear_scenario(scenario))
 stage("emit_report", lambda: emit_report(result, "json"))
 pool = stage("build_pool", lambda: build_pool(scenario.plants, phi, scenario.capacity,
                                              result.dispatch))
-stage("settle", lambda: settle(pool, result.total_fee_cf))
+settlement = stage("settle", lambda: settle(pool, result.total_fee_cf))
+stage("emit_settlement", lambda: emit_settlement(settlement, "json"))
 print(json.dumps(times))
 """
 

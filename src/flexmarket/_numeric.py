@@ -167,22 +167,6 @@ def sort_runs(order: list[int], runs: Iterable[slice], pairs: Sequence[tuple[int
     return order
 
 
-def sorted_exact(
-    items: Iterable[T],
-    value: Callable[[T], Fraction],
-    tiebreak: Callable[[T], Any],
-) -> list[T]:
-    """The items in ascending order of (value(item), tiebreak(item)).
-
-    Equal to `sorted(items, key=lambda x: (value(x), tiebreak(x)))`, but on
-    ints: `coarse_runs`, then `sort_runs`.
-    """
-    items = list(items)
-    pairs = [value(item).as_integer_ratio() for item in items]
-    order = sort_runs(*coarse_runs(pairs), pairs, lambda i: tiebreak(items[i]))
-    return [items[i] for i in order]
-
-
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
     """The exact sum of Fractions.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import Validated, coarse_runs, exact_sum, frac, sort_runs
+from ._numeric import Validated, coarse_runs, exact_sum, first_duplicate, frac, sort_runs
 from .plants import PowerPlant
 from .scenario import CapacityConfig
 
@@ -34,12 +34,14 @@ class _CapacityPoolFields(NamedTuple):
 
 
 class CapacityPool(Validated, _CapacityPoolFields):
-    """Reserve participants as (plant_id, phi, capacity_mw) triples."""
+    """Reserve participants as (plant_id, phi, capacity_mw) triples, one per id."""
 
     __slots__ = ()
 
     def __new__(cls, participants: tuple[tuple[str, Fraction, Fraction], ...],
                 eligibility_threshold: Fraction = Fraction(1, 2)) -> CapacityPool:
+        if not 0 < eligibility_threshold < 1:  # so every phi, and P_flex, is > 0
+            raise ValueError("eligibility_threshold: must lie in (0, 1)")
         tn, td = eligibility_threshold.as_integer_ratio()
         for pid, phi, cap in participants:
             n, d = phi.as_integer_ratio()
@@ -50,6 +52,9 @@ class CapacityPool(Validated, _CapacityPoolFields):
                 )
             if cap.as_integer_ratio()[0] <= 0:
                 raise ValueError(f"{pid}: capacity must be > 0")
+        repeated = first_duplicate(pid for pid, _, _ in participants)
+        if repeated is not None:
+            raise ValueError(f"{repeated}: listed twice in the pool")
         return super().__new__(cls, participants, eligibility_threshold)
 
     @property
@@ -144,7 +149,9 @@ def is_paradox(reserve: Collection[object], cf: Fraction) -> bool:
 
 
 def settle(pool: CapacityPool, cf: Fraction) -> CapacitySettlement:
-    """Reliability payments rho_i = phi_i * P_i / P_flex * C_f (EUR/h)."""
+    """Reliability payments rho_i = phi_i * P_i / P_flex * C_f (EUR/h), largest
+    first, then by id. Each payment is its weight phi_i * P_i times one shared
+    factor, so the weights, compared on their own ints, give that order."""
     cf = frac(cf)
     if cf < 0:
         raise ValueError("fee pool C_f must be >= 0")
@@ -152,6 +159,11 @@ def settle(pool: CapacityPool, cf: Fraction) -> CapacitySettlement:
         raise UnallocatableFeeError(
             f"fee pool of {cf} EUR/h but no reserve plant to receive it"
         )
-    share = cf / pool.p_flex if pool.participants else cf  # C_f per unit of phi·P
-    payments = {pid: phi * cap * share for pid, phi, cap in pool.participants}
-    return CapacitySettlement(payments, cf)
+    members = pool.participants
+    if cf == 0:  # every payment is 0
+        return CapacitySettlement(dict.fromkeys(sorted(m[0] for m in members), Fraction(0)), cf)
+    share = cf / pool.p_flex  # C_f per unit of phi·P
+    weights = [phi * cap for _, phi, cap in members]
+    pairs = [(-w.numerator, w.denominator) for w in weights]  # ascending: largest first
+    order = sort_runs(*coarse_runs(pairs), pairs, lambda i: members[i][0])
+    return CapacitySettlement({members[i][0]: weights[i] * share for i in order}, cf)

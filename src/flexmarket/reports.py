@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number
-from ._numeric import sorted_exact, to_float, to_number
+from ._numeric import to_float, to_number
 from .spotmarket import ClearingResult, total_fee
 
 if TYPE_CHECKING:  # for annotations only
@@ -302,14 +302,13 @@ def emit_settlement(
     format: str = "plain-table",
     rounding_mode: str = "exact",
 ) -> bytes:
-    """Render reliability payments."""
+    """Render reliability payments in the order given (`settle` gives them
+    largest first, then by id)."""
     check_format("settlement", format, rounding_mode)
-    items = sorted_exact(
-        settlement.payments.items(), lambda kv: -kv[1], lambda kv: kv[0]
-    )
+    payments = settlement.payments
     headers = ["plant_id", "reliability_payment_eur_per_h"]
-    rows = _body(format, headers, [[[pid for pid, _ in items],
-                                    [_disp(value, rounding_mode) for _, value in items]]])
+    rows = _body(format, headers, [[list(payments),
+                                    [_disp(value, rounding_mode) for value in payments.values()]]])
     source = _disp(settlement.source_fee_cf, rounding_mode)
     if format == "json":
         return _with_rows({"payments": [], "summary": {"source_fee_cf_eur_per_h": source}},

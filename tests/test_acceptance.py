@@ -16,10 +16,10 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
-from flexmarket.analysis import clear_scenario, sweep_p0
+from flexmarket.analysis import sweep_p0
 from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket.scenario import toy_grid
-from flexmarket.spotmarket import market_wide_fee_intensity, total_fee
+from flexmarket.spotmarket import clear_scenario, market_wide_fee_intensity, total_fee
 
 from flexmarket._numeric import ratio_number
 from reference import sweep_rows

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from flexmarket.analysis import clear_scenario
+import reference as ref
 from flexmarket.capacity import (
     CapacityConfig,
     CapacityPool,
@@ -11,7 +13,9 @@ from flexmarket.capacity import (
     eligible_plants,
     settle,
 )
+from flexmarket.reports import emit_settlement
 from flexmarket.scenario import toy_grid
+from flexmarket.spotmarket import clear_scenario
 
 
 @pytest.fixture
@@ -160,3 +164,64 @@ class TestSettle:
     def test_pool_rejects_ineligible_member(self):
         with pytest.raises(ValueError):
             CapacityPool((("slow", Fraction(1, 4), Fraction(5)),))
+
+    @pytest.mark.parametrize("members, threshold, message", [
+        # p_flex would count "a" twice while the payments keep one "a"
+        ((("a", Fraction(3, 4), Fraction(10)), ("b", Fraction(2, 3), Fraction(10)),
+          ("a", Fraction(3, 5), Fraction(10))), Fraction(1, 2), "a: listed twice in the pool"),
+        # a score <= 0 could make P_flex <= 0, and so reverse or break the payments
+        ((("a", Fraction(-1, 2), Fraction(5)), ("b", Fraction(1, 4), Fraction(5))),
+         Fraction(-1), r"eligibility_threshold: must lie in \(0, 1\)"),
+    ])
+    def test_pool_rejects_what_settle_cannot_pay(self, members, threshold, message):
+        with pytest.raises(ValueError, match=message):
+            CapacityPool(members, threshold)
+
+
+# Scores above the default threshold 1/2: plain ones, ones closer together
+# than 2**-64, and ones over 20-digit coprime denominators, which all round
+# to the float 1.0.
+phis_above_half = st.one_of(
+    st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=50),
+    st.builds(lambda k, bits: 1 - Fraction(k, 2**bits),
+              st.integers(min_value=1, max_value=3), st.integers(min_value=60, max_value=200)),
+    st.builds(lambda r, j: Fraction(r - 1 - j, r),
+              st.sampled_from(ref.coprime_20_digit(4)), st.integers(min_value=0, max_value=6)),
+).filter(lambda phi: phi > Fraction(1, 2))
+
+
+@st.composite
+def pools(draw):
+    """A pool whose members reuse a few scores and capacities, so that
+    distinct members often have equal phi·P, in any id order."""
+    ids = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=10))
+    scores = draw(st.lists(phis_above_half, min_size=1, max_size=3))
+    capacities = draw(st.lists(st.sampled_from([Fraction(5), Fraction(10), Fraction(15, 2)]),
+                               min_size=1, max_size=2))
+    return CapacityPool(tuple((pid, draw(st.sampled_from(scores)),
+                               draw(st.sampled_from(capacities))) for pid in ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools(), st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=Fraction(1, 1000), max_value=1000)))
+def test_settle_orders_payments_by_exact_payment_then_id(pool, cf):
+    assume(pool.participants or not cf)  # else the depletion paradox: settle raises
+    p_flex = sum(phi * cap for _, phi, cap in pool.participants)
+    exact = {pid: phi * cap * cf / p_flex for pid, phi, cap in pool.participants}
+    payments = settle(pool, cf).payments
+    assert payments == exact
+    assert list(payments) == sorted(exact, key=lambda pid: (-exact[pid], pid))
+
+
+def test_settle_and_emit_bounded_on_coprime_denominators():
+    # 500 scores (r - 1 - i mod 7)/r, equal as floats, over distinct 20-digit
+    # denominators r: a payment's denominator has about 10,000 digits, but
+    # the order comes from each member's own phi·P
+    members = tuple((f"p{i:03d}", Fraction(r - 1 - i % 7, r), Fraction(10))
+                    for i, r in enumerate(ref.coprime_20_digit(500)))
+    pool = CapacityPool(members)
+    start = time.perf_counter()
+    text = emit_settlement(settle(pool, Fraction(790)), "json")
+    assert time.perf_counter() - start < 0.5
+    assert text.count(b'"plant_id"') == 500

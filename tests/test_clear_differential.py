@@ -6,8 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 import reference as ref
-from flexmarket.analysis import clear_scenario
 from flexmarket.scenario import _scenario_from_dict as scenario_of
+from flexmarket.spotmarket import clear_scenario
 
 RUNS = settings(max_examples=300, deadline=None)
 

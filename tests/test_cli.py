@@ -390,7 +390,7 @@ class TestCapacity:
 
     def test_svg_stack_rejected_before_the_clearing(self, capsys, monkeypatch,
                                                     toy_grid_path):
-        calls = record_calls(monkeypatch, "cli.load_scenario", "analysis.clear_scenario")
+        calls = record_calls(monkeypatch, "cli.load_scenario", "spotmarket.clear_scenario")
         code, out, err = run(capsys, "capacity", str(toy_grid_path),
                              "--format", "svg-stack")
         assert (code, out, calls) == (1, "", [])

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from flexmarket.analysis import clear_scenario, sweep_p0
+from flexmarket.analysis import sweep_p0
 from flexmarket.reports import emit_report, emit_sweep
 from flexmarket.scenario import _scenario_from_dict as scenario_of
-from flexmarket.spotmarket import MarketConfig, Offer, clear, merit_order
+from flexmarket.spotmarket import MarketConfig, Offer, clear, clear_scenario, merit_order
 
 RUNS = settings(max_examples=200, deadline=None)
 # beyond the float range: the exact report cannot write it and names it

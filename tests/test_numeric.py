@@ -12,11 +12,12 @@ from flexmarket._numeric import (
     MAX_DECIMAL_EXPONENT,
     MAX_SIGNIFICANT_DIGITS,
     _parse_literal,
+    coarse_runs,
     exact_sum,
     parse_number,
     ratio_column,
     ratio_number,
-    sorted_exact,
+    sort_runs,
     to_number,
 )
 
@@ -44,9 +45,17 @@ values = st.one_of(
 ids = st.sampled_from(["a", "b", "c", "d"])  # few ids, so duplicates are common
 
 
+def sorted_on_ints(items, value, tiebreak):
+    """The items in ascending order of (value(item), tiebreak(item)), by the
+    two-stage kernel: `coarse_runs`, then `sort_runs`."""
+    pairs = [value(item).as_integer_ratio() for item in items]
+    order = sort_runs(*coarse_runs(pairs), pairs, lambda i: tiebreak(items[i]))
+    return [items[i] for i in order]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(ids, values), max_size=40), st.data())
-def test_sorted_exact_matches_sorted_on_the_exact_key(pairs, data):
+def test_sort_runs_matches_sorted_on_the_exact_key(pairs, data):
     # items reuse earlier values exactly, so equal values occur in every size
     items = [
         (pid, data.draw(st.sampled_from([v for _, v in pairs[: i + 1]])), i)
@@ -54,22 +63,22 @@ def test_sorted_exact_matches_sorted_on_the_exact_key(pairs, data):
     ]
     expected = sorted(items, key=lambda item: (item[1], item[0]))
     # the index in each item also checks that equal keys keep input order
-    assert sorted_exact(items, lambda item: item[1], lambda item: item[0]) == expected
+    assert sorted_on_ints(items, lambda item: item[1], lambda item: item[0]) == expected
 
 
-def test_sorted_exact_orders_values_closer_than_the_floor_key():
+def test_sort_runs_orders_values_closer_than_the_floor_key():
     tiny = Fraction(1, 2**100)
     items = ["x", "y", "z"]
     value = {"x": 1 + 2 * tiny, "y": 1 + tiny, "z": Fraction(1)}
-    assert sorted_exact(items, value.__getitem__, str) == ["z", "y", "x"]
+    assert sorted_on_ints(items, value.__getitem__, str) == ["z", "y", "x"]
 
 
-def test_sorted_exact_run_of_distinct_denominators_stays_cheap():
+def test_sort_runs_run_of_distinct_denominators_stays_cheap():
     # 4,000 values within 2**-64 of each other form one run of equal floors;
     # a common denominator of their 100-bit denominators would grow with it
     values = [Fraction(10**30 + i + 1, 10**30 + i) for i in range(4000)]
     start = time.perf_counter()
-    assert sorted_exact(values, lambda v: v, lambda v: 0) == sorted(values)
+    assert sorted_on_ints(values, lambda v: v, lambda v: 0) == sorted(values)
     assert time.perf_counter() - start < 1.0
 
 

@@ -5,11 +5,11 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexmarket.analysis import clear_scenario, sweep_p0
+from flexmarket.analysis import sweep_p0
 from flexmarket.capacity import CapacityConfig, build_pool, settle
 from flexmarket.reports import _json_bytes, emit_report, emit_settlement, emit_sweep
 from flexmarket.scenario import toy_grid
-from flexmarket.spotmarket import MarketConfig, clear
+from flexmarket.spotmarket import MarketConfig, clear, clear_scenario
 
 SVG = "http://www.w3.org/2000/svg"
 
