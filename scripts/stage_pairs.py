@@ -10,8 +10,10 @@ Python process per checkout, with that checkout's src/ on the path; the side
 that runs first alternates from pair to pair, so a drift in the host's speed
 falls on both sides alike. A process times each stage in-process, the best
 of --repeat calls: load_scenario, flexibilities, make_offers, merit_order,
-clear, clear_scenario, emit_report (json), build_pool, settle and
-emit_settlement (json), each on the result of the stage before it. For each
+clear, clear_scenario, emit_report (json), build_pool, settle,
+emit_settlement (json), sweep_p0 over the 21 points 0, 4, ..., 80 (as the
+sweep-large-n workload runs) and emit_sweep (csv), each on the result of
+the stage before it. For each
 stage, and for load_scenario + clear_scenario, the script prints each side's
 median and quartiles in ms, the ratio of the medians and how many pairs each
 side won. It exits 1 if a process fails, and 2 on bad arguments.
@@ -37,8 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # the module that defines the stage does not.
 WORKER = """
 import json, sys, time
+from fractions import Fraction
 from flexmarket import (build_pool, clear, clear_scenario, emit_report, emit_settlement,
-                        load_scenario, make_offers, merit_order, settle)
+                        emit_sweep, load_scenario, make_offers, merit_order, settle, sweep_p0)
+from flexmarket.analysis import p0_range
 
 path, repeat = sys.argv[1], int(sys.argv[2])
 times = {}
@@ -64,6 +68,9 @@ pool = stage("build_pool", lambda: build_pool(scenario.plants, phi, scenario.cap
                                              result.dispatch))
 settlement = stage("settle", lambda: settle(pool, result.total_fee_cf))
 stage("emit_settlement", lambda: emit_settlement(settlement, "json"))
+grid = p0_range(Fraction(0), Fraction(80), Fraction(4))
+sweep = stage("sweep_p0", lambda: sweep_p0(scenario, grid))
+stage("emit_sweep", lambda: emit_sweep(sweep, "csv"))
 print(json.dumps(times))
 """
 

@@ -223,6 +223,7 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
 
     plants = scenario.plants
     phi = scenario.flexibilities()
+    # unchecked: `eligible_plants` chose them, or `Scenario` checked the list
     candidates = reserve_candidates(plants, phi, scenario.capacity)
     n = len(plants)
     ids = [p.id for p in plants]

@@ -85,9 +85,14 @@ def eligible_plants(
     return [ids[i] for i in sort_runs(*coarse_runs(pairs), pairs, ids.__getitem__)]
 
 
-def _candidates(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction],
-                config: CapacityConfig) -> tuple[tuple[str, Fraction, Fraction], ...]:
-    """The participants of `reserve_candidates`, not yet checked."""
+def reserve_candidates(
+    plants: Sequence[PowerPlant], phi: Mapping[str, Fraction], config: CapacityConfig
+) -> tuple[tuple[str, Fraction, Fraction], ...]:
+    """The plants that may join the reserve, chosen once per scenario, as
+    unchecked (plant_id, phi, capacity_mw) triples: the eligible ones (auto),
+    or the explicit list, whose ids must be known. For an explicit list,
+    `phi` needs only the listed plants' scores. Each id is one plant here,
+    so no id comes twice."""
     by_id = {p.id: p for p in plants}
     ids = config.participants
     if ids is None:
@@ -98,32 +103,22 @@ def _candidates(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction],
     return tuple((pid, phi[pid], by_id[pid].capacity) for pid in ids)
 
 
-def reserve_candidates(
-    plants: Sequence[PowerPlant], phi: Mapping[str, Fraction], config: CapacityConfig
-) -> CapacityPool:
-    """The plants that may join the reserve, chosen once per scenario: the
-    eligible ones (auto), or the explicit list, whose ids must be known
-    (`CapacityPool` checks that each is eligible). For an explicit list,
-    `phi` needs only the listed plants' scores. Each id is one plant here,
-    so the pool never holds an id twice."""
-    return CapacityPool(_candidates(plants, phi, config), config.threshold)
-
-
 def reserve_members(
-    candidates: CapacityPool, config: CapacityConfig, dispatched: Container[str]
+    candidates: tuple[tuple[str, Fraction, Fraction], ...], config: CapacityConfig,
+    dispatched: Container[str],
 ) -> tuple[tuple[str, Fraction, Fraction], ...]:
     """The reserve once `dispatched` clear on the spot market, decided once
     per dispatched set: the auto rule drops them, and an explicit list stays
     whole but may not include them unless `allow_overlap` is set."""
     if config.participants is None:
-        return tuple(m for m in candidates.participants if m[0] not in dispatched)
-    for pid, _, _ in candidates.participants:
+        return tuple(m for m in candidates if m[0] not in dispatched)
+    for pid, _, _ in candidates:
         if pid in dispatched and not config.allow_overlap:
             raise ValueError(
                 f"{pid} is dispatched on the spot market and cannot join "
                 "the reserve pool (use allow_overlap to override)"
             )
-    return candidates.participants
+    return candidates
 
 
 def build_pool(
@@ -132,15 +127,11 @@ def build_pool(
     config: CapacityConfig = CapacityConfig(),
     dispatched: Iterable[str] = (),
 ) -> CapacityPool:
-    """The reserve pool: `reserve_candidates`, then `reserve_members`, each member
-    checked once: an explicit list before the dispatch rule, an auto pool after."""
-    dispatched = set(dispatched)
-    if config.participants is not None:
-        candidates = reserve_candidates(plants, phi, config)
-        reserve_members(candidates, config, dispatched)  # rejects a dispatched member
-        return candidates
-    members = tuple(m for m in _candidates(plants, phi, config) if m[0] not in dispatched)
-    return CapacityPool(members, eligibility_threshold=config.threshold)
+    """The reserve pool: `reserve_candidates`, then `reserve_members`, then
+    one `CapacityPool`, which checks each member once."""
+    members = reserve_members(reserve_candidates(plants, phi, config), config,
+                              set(dispatched))
+    return CapacityPool(members, config.threshold)
 
 
 def is_paradox(reserve: Collection[object], cf: Fraction) -> bool:

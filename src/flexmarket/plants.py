@@ -122,6 +122,8 @@ class PowerPlant(Validated, _PowerPlantFields):
         if not id.isprintable() or "," in id or '"' in id or "|" in id:
             raise PlantIdError(f"plant id must be printable, without ',', '\"' or '|', "
                                f"got {id!r}")
+        if not isinstance(start_up_time, StartUpTime):
+            raise ValueError(f"{id}: start_up_time must be a StartUpTime, got {start_up_time!r}")
         if marginal_cost.numerator < 0:
             raise ValueError(f"{id}: marginal_cost must be >= 0")
         if capacity.numerator <= 0:

@@ -95,6 +95,12 @@ class CapacityConfig(Validated, _CapacityConfigFields):
         threshold = frac(threshold)
         if not (0 < threshold < 1):
             raise ValueError("threshold: must lie in (0, 1)")
+        if participants is not None:
+            if not isinstance(participants, (list, tuple)):
+                raise ValueError(
+                    f"participants: expected None or a list of plant ids, got {participants!r}"
+                )
+            participants = tuple(participants)
         seen: set[str] = set()
         for i, pid in enumerate(participants or ()):
             if not isinstance(pid, str):
@@ -138,10 +144,10 @@ class Scenario(Validated, _ScenarioFields):
             raise DuplicatePlantIdError(f"plants: duplicate plant id {duplicate!r}")
         pinned = capacity.participants
         if pinned is not None:
-            from .capacity import reserve_candidates  # only a pinned pool needs it
+            from .capacity import build_pool  # only a pinned pool needs it
             listed = [by_id[pid] for pid in pinned if pid in by_id]
             try:
-                reserve_candidates(plants, flexibilities_for(listed), capacity)
+                build_pool(plants, flexibilities_for(listed), capacity)
             except ValueError as exc:
                 raise ScenarioParseError(f"capacity.participants: {exc}") from None
         return super().__new__(cls, plants, market, capacity)

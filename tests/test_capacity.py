@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference as ref
+from flexmarket.analysis import p0_range, sweep_p0
 from flexmarket.capacity import (
     CapacityConfig,
     CapacityPool,
@@ -14,7 +15,7 @@ from flexmarket.capacity import (
     settle,
 )
 from flexmarket.reports import emit_settlement
-from flexmarket.scenario import toy_grid
+from flexmarket.scenario import load_scenario, toy_grid
 from flexmarket.spotmarket import clear_scenario
 
 
@@ -109,6 +110,22 @@ class TestBuildPool:
         # a copy made by _replace is checked again
         with pytest.raises(ValueError, match="does not exceed threshold"):
             pool._replace(eligibility_threshold=Fraction(99, 100))
+
+    def test_pinned_scenario_checked_once_at_load_and_not_per_sweep_run(
+            self, monkeypatch, toy_grid_path):
+        seen = []
+        new = CapacityPool.__new__
+
+        def recording(cls, members, *args, **kwargs):
+            seen.extend(pid for pid, _, _ in members)
+            return new(cls, members, *args, **kwargs)
+
+        monkeypatch.setattr(CapacityPool, "__new__", staticmethod(recording))
+        scenario = load_scenario(toy_grid_path.with_name("toy-grid-pinned.json"))
+        assert seen == ["hydro", "gas", "chp"]
+        seen.clear()
+        sweep = sweep_p0(scenario, p0_range(Fraction(0), Fraction(80), Fraction(10)))
+        assert seen == [] and len(sweep.runs) > 1
 
     def test_p_flex(self, toy, phis):
         pool = pool_of(toy, phis, ["hydro", "gas", "chp"])

@@ -49,6 +49,19 @@ def test_replace_checks_again_and_fields_are_read_only(instance, name, bad, erro
         instance.note = "x"  # no instance dict either
 
 
+@pytest.mark.parametrize("participants", ["ab", {"a", "b"}, iter("ab"), 7])
+def test_participants_that_are_no_list_rejected(participants):
+    with pytest.raises(ValueError, match="^participants: expected None or a list"):
+        CapacityConfig(participants=participants)
+
+
+def test_participants_list_stored_as_tuple():
+    config = CapacityConfig(participants=["hydro", "gas"])
+    assert config.participants == ("hydro", "gas")
+    assert config == CapacityConfig(participants=("hydro", "gas"))
+    hash(TOY._replace(capacity=config))  # a Scenario that holds it can be hashed
+
+
 def test_replace_coerces_like_the_constructor():
     demand = TOY.market._replace(demand="12.5").demand
     assert type(demand) is Fraction and demand == Fraction(25, 2)

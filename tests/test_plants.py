@@ -40,6 +40,11 @@ class TestPowerPlant:
         with pytest.raises(PlantIdError, match=f"non-empty string, got {pid!r}$"):
             plant(pid)
 
+    @pytest.mark.parametrize("pid, hours", [("x", 2), ("y", None), ("z", Fraction(2))])
+    def test_start_up_time_that_is_no_start_up_time_rejected(self, pid, hours):
+        with pytest.raises(ValueError, match=f"^{pid}: start_up_time must be a StartUpTime"):
+            PowerPlant(pid, hours, 10, 5)
+
 
 class TestFlexibilityOf:
     def test_ccgt(self):
