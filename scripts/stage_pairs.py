@@ -13,7 +13,9 @@ of --repeat calls: load_scenario, flexibilities, make_offers, merit_order,
 clear, clear_scenario, emit_report (json), build_pool, settle,
 emit_settlement (json), sweep_p0 over the 21 points 0, 4, ..., 80 (as the
 sweep-large-n workload runs) and emit_sweep (csv), each on the result of
-the stage before it. For each
+the stage before it; then capacity_cli and clear_cli, one in-process
+`cli.main([command, SCENARIO, "--format", "json", "--output", os.devnull])`
+each, which time what the CLI runs whatever internal names it calls. For each
 stage, and for load_scenario + clear_scenario, the script prints each side's
 median and quartiles in ms, the ratio of the medians and how many pairs each
 side won. It exits 1 if a process fails, and 2 on bad arguments.
@@ -38,10 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # each stage by its public name, which stays the same in both checkouts when
 # the module that defines the stage does not.
 WORKER = """
-import json, sys, time
+import json, os, sys, time
 from fractions import Fraction
 from flexmarket import (build_pool, clear, clear_scenario, emit_report, emit_settlement,
                         emit_sweep, load_scenario, make_offers, merit_order, settle, sweep_p0)
+from flexmarket import cli
 from flexmarket.analysis import p0_range
 
 path, repeat = sys.argv[1], int(sys.argv[2])
@@ -71,6 +74,14 @@ stage("emit_settlement", lambda: emit_settlement(settlement, "json"))
 grid = p0_range(Fraction(0), Fraction(80), Fraction(4))
 sweep = stage("sweep_p0", lambda: sweep_p0(scenario, grid))
 stage("emit_sweep", lambda: emit_sweep(sweep, "csv"))
+
+def run_cli(argv):
+    if cli.main(argv) != 0:
+        raise SystemExit(f"flexmarket {argv[0]} failed")
+
+for command in ("capacity", "clear"):
+    argv = [command, path, "--format", "json", "--output", os.devnull]
+    stage(f"{command}_cli", lambda: run_cli(argv))
 print(json.dumps(times))
 """
 

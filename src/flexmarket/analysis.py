@@ -1,14 +1,12 @@
 """Reference-price sweeps: merit-order change detection and the
-reserve-depletion paradox.
-
-The paradox (`capacity.is_paradox`): a reference price high enough that the
-spot market empties the reserve while C_f > 0, leaving nobody to pay.
-"""
+reserve-depletion paradox (`capacity.is_paradox`): a reference price high
+enough that the spot market empties the reserve while C_f > 0."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
@@ -19,15 +17,8 @@ from .scenario import Scenario, ScenarioError
 from .spotmarket import _fill, tie_key
 from .spotmarket import clear_scenario  # perfbench/spans.py traces it at this path
 
-__all__ = [
-    "MAX_GRID_POINTS",
-    "P0Grid",
-    "SweepPoint",
-    "SweepResult",
-    "SweepRun",
-    "p0_range",
-    "sweep_p0",
-]
+__all__ = ["MAX_GRID_POINTS", "P0Grid", "SweepPoint", "SweepResult", "SweepRun", "p0_range",
+           "sweep_p0"]
 
 # Upper bound on the points of one p0 grid, so an untrusted grid spec cannot
 # pin the CPU or exhaust memory.
@@ -64,8 +55,7 @@ class SweepPoint(NamedTuple):
 class SweepRun(NamedTuple):
     """The grid points from index `start` up to the next run's start, which
     share one merit order. Their dispatch is fixed, so the clearing price is
-    price_base + price_slope·p0 and C_f is fee_slope·p0. A NamedTuple, like
-    every plain record of the model."""
+    price_base + price_slope·p0 and C_f is fee_slope·p0."""
 
     start: int
     merit_order: tuple[str, ...]
@@ -127,25 +117,20 @@ def _scaled(x: Fraction, den: int) -> int:
 def p0_range(lo: Fraction, hi: Fraction, step: Fraction) -> P0Grid:
     """The grid lo + i·step for i = 0, 1, ... up to hi inclusive (empty if
     hi < lo): the range start + i·stride of numerators over den, the lcm of
-    lo's and step's denominators, so four ints for any length.
-
-    A step <= 0 raises ScenarioError, and so does a grid of more than
-    MAX_GRID_POINTS points.
-    """
+    lo's and step's denominators, so four ints for any length. A step <= 0
+    raises ScenarioError, and so does a grid of more than MAX_GRID_POINTS."""
     if step <= 0:
         raise ScenarioError(f"p0 grid step must be > 0, got {step}")
     count = max((hi - lo) // step + 1, 0)
     if count > MAX_GRID_POINTS:
-        raise ScenarioError(
-            f"p0 grid has {count} points, more than the limit of {MAX_GRID_POINTS}"
-        )
+        raise ScenarioError(f"p0 grid has {count} points, more than the limit of "
+                            f"{MAX_GRID_POINTS}")
     den = lcm(lo.denominator, step.denominator)
     start, stride = _scaled(lo, den), _scaled(step, den)
     return P0Grid(range(start, start + count * stride, stride), den)
 
 
-def _order_at(order: list[int], terms: list[tuple[int, int, int]],
-              a: int, b: int) -> list[int]:
+def _order_at(order: list[int], terms: list[tuple[int, int, int]], a: int, b: int) -> list[int]:
     """`order` sorted on the int keys M_i·N·b + F_i·N·a + r_i, the offers at
     p0 = a/b with the tie rank below them, from `terms` (M_i·N, F_i·N, r_i).
     The keys are distinct, so the result does not depend on `order`; a
@@ -157,9 +142,8 @@ def _order_at(order: list[int], terms: list[tuple[int, int, int]],
 def _run_end(order: list[int], start: int, terms: list[tuple[int, int, int]],
              nums: Sequence[int], den: int) -> tuple[int, list[int] | None]:
     """The grid index where the run of `order` beginning at `start` ends, and
-    the merit order there (None if the run reaches the grid's end).
-
-    Each key difference between two plants is linear in p0, so the points
+    the merit order there (None if the run reaches the grid's end). Each
+    key difference between two plants is linear in p0, so the points
     where `order` holds form an interval from `start`. Probe start+1,
     start+2, start+4, ... until the order fails (or the grid ends), then
     bisect: a run of L points costs at most 2⌈log₂ L⌉ + 1 sorts."""
@@ -187,28 +171,15 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
     """Clear the scenario at every grid point, as runs of one merit order.
 
     Each point gives the same result as `spotmarket.clear_scenario` at that
-    p0. Scoring, eligibility and an integer scaling of the plants are done
-    once per scenario, and the grid is ints a over one den: a `P0Grid`,
-    which any other grid becomes, over the lcm of its denominators. Every offer
-    mc_i + (1 - phi_i)·p0 is linear in p0: with one common denominator D
-    over all mc_i and 1 - phi_i, the offers at p0 = a/den are
-    (M_i·den + F_i·a) / (D·den) for the integers M_i = mc_i·D and
-    F_i = (1 - phi_i)·D, and a merit order is a sort of plain int keys. Two
-    offers' difference is linear in p0, so one order holds on an interval of
-    the grid: from the start of each run, a galloping search (`_run_end`)
-    finds where it ends with at most 2⌈log₂ L⌉ + 1 sorts for a run of L
-    points, one for a one-point run. The dispatch depends on the merit order
-    only, so each distinct order starts a `SweepRun`: the fill (the one
-    `clear` uses), the dispatched set, the reserve and the fee sum are
-    computed once for it, and so are the exact coefficients of its price and
-    C_f, affine in p0. No point is built here: `emit_sweep` writes each run
-    from those integers, and `SweepResult.points` builds the Fractions when
-    read.
-
-    The reserve and `paradox` are what `capacity` would report at that p0;
-    where it would reject the pool, this raises ValueError naming the first
-    p0 of the run.
-    """
+    p0. Per scenario, the plant table's columns are scaled once: with one
+    common denominator D over all mc_i and 1 - phi_i, the offers at p0 =
+    a/den are (M_i·den + F_i·a) / (D·den), so a merit order is a sort of int
+    keys. One order holds on an interval of the grid, which a galloping
+    search (`_run_end`) finds; each distinct order starts a `SweepRun`,
+    whose fill, reserve and exact price and C_f coefficients (affine in p0)
+    are computed once. A grid that is no `P0Grid` becomes one over the lcm
+    of its denominators. Where `capacity` would reject the pool, this raises
+    ValueError naming the first p0 of the run."""
     if not isinstance(p0_grid, P0Grid):
         points = [frac(p) for p in p0_grid]
         den = lcm(*(p.denominator for p in points))
@@ -221,26 +192,23 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
     if nums[0] < 0:
         raise ValueError("p0 grid must be non-negative")
 
-    plants = scenario.plants
-    phi = scenario.flexibilities()
+    table = scenario.plants
+    phis, ids, n = table.phis, table.ids, len(table)
     # unchecked: `eligible_plants` chose them, or `Scenario` checked the list
-    candidates = reserve_candidates(plants, phi, scenario.capacity)
-    n = len(plants)
-    ids = [p.id for p in plants]
-    fee_share = [1 - phi[pid] for pid in ids]
-    d = lcm(*(p.marginal_cost.denominator for p in plants),
-            *(f.denominator for f in fee_share))
-    mc_num = [_scaled(p.marginal_cost, d) for p in plants]
-    fee_num = [_scaled(f, d) for f in fee_share]
+    candidates = reserve_candidates(table, None, scenario.capacity)
+    fee_share = [(d - p, d) for p, d in phis]  # 1 - phi, reduced
+    d = lcm(*(md for _, md in table.costs), *(fd for _, fd in fee_share))
+    mc_num = [mn * (d // md) for mn, md in table.costs]
+    fee_num = [fn * (d // fd) for fn, fd in fee_share]
     demand = scenario.market.demand
-    e = lcm(demand.denominator, *(p.capacity.denominator for p in plants))
-    cap = [_scaled(p.capacity, e) for p in plants]
+    e = lcm(demand.denominator, *(cd for _, cd in table.capacities))
+    cap = [cn * (e // cd) for cn, cd in table.capacities]
     fee_cap = [f * c for f, c in zip(fee_num, cap)]  # F_i·C_i: fee at full output
     q = _scaled(demand, e)
     # merit_order breaks equal offers on this rank; it is added below the
     # offer in the sort key, which keeps keys distinct.
-    key, rank = tie_key(phi[pid] for pid in ids), [0] * n
-    for r, i in enumerate(sorted(range(n), key=lambda i: key(phi[ids[i]], ids[i]))):
+    key, rank = tie_key(phis), [0] * n
+    for r, i in enumerate(sorted(range(n), key=lambda i: key(phis[i], ids[i]))):
         rank[i] = r
     terms = [(m * n, f * n, r) for m, f, r in zip(mc_num, fee_num, rank)]
 
@@ -249,7 +217,7 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
     while order is not None:
         merit = tuple(ids[i] for i in order)
         # capacities and demand are ints over e, so the fill's den is 1
-        count, rest, _ = _fill(map(cap.__getitem__, order), q)
+        count, rest, _ = _fill(zip(map(cap.__getitem__, order), repeat(1)), (q, 1))
         dispatched = frozenset(merit[:count])
         try:
             members = reserve_members(candidates, scenario.capacity, dispatched)
@@ -261,9 +229,7 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
             marginal = order[count - 1]
             mc_m, fee_m = mc_num[marginal], fee_num[marginal]
             fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
-        runs.append(SweepRun(
-            start, merit, dispatched, frozenset(pid for pid, _, _ in members),
-            Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e),
-        ))
+        runs.append(SweepRun(start, merit, dispatched, frozenset(members.ids),
+                             Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e)))
         start, order = _run_end(order, start, terms, nums, den)
     return SweepResult(p0_grid, tuple(runs))

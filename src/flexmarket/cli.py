@@ -2,12 +2,9 @@
 
 Subcommands: validate, clear, sweep, capacity. Exit codes: 0 success,
 1 validation error, 2 I/O error, 3 paradox (with --fail-on-paradox, or a
-capacity settlement with no one to pay).
-
-Each command imports the pipeline modules it runs when it runs, so `validate`
-loads only the scenario model: without a bytecode cache, each call compiles
-every module it imports.
-"""
+capacity settlement with no one to pay). Each command imports the pipeline
+modules it runs when it runs, so `validate` loads only the scenario model:
+without a bytecode cache, each call compiles every module it imports."""
 
 from __future__ import annotations
 
@@ -30,9 +27,7 @@ EXIT_PARADOX = 3
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="flexmarket",
-        description="Spot-market simulator with operational-inflexibility fees",
-    )
+        prog="flexmarket", description="Spot-market simulator with operational-inflexibility fees")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -41,9 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rounding", default="exact", choices=ROUNDING_MODES)
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    sub.add_parser("validate", help="parse and validate a scenario").add_argument(
-        "scenario"
-    )
+    sub.add_parser("validate", help="parse and validate a scenario").add_argument("scenario")
 
     p_clear = sub.add_parser("clear", help="clear the spot market once")
     add_common(p_clear)
@@ -52,24 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep the reference price p0")
     add_common(p_sweep)
-    p_sweep.add_argument(
-        "--p0-grid", required=True, metavar="LO:HI:STEP",
-        help="inclusive grid of reference prices",
-    )
-    p_sweep.add_argument(
-        "--fail-on-paradox", action="store_true",
-        help="exit 3 if any sweep point depletes the capacity reserve",
-    )
+    p_sweep.add_argument("--p0-grid", required=True, metavar="LO:HI:STEP",
+                         help="inclusive grid of reference prices")
+    p_sweep.add_argument("--fail-on-paradox", action="store_true",
+                         help="exit 3 if any sweep point depletes the capacity reserve")
 
     p_cap = sub.add_parser("capacity", help="settle reliability payments")
     add_common(p_cap)
-    p_cap.add_argument(
-        "--cf", help="fee pool C_f in EUR/h (default: from a spot clearing)"
-    )
-    p_cap.add_argument(
-        "--allow-overlap", action="store_true",
-        help="let dispatched plants join the reserve pool",
-    )
+    p_cap.add_argument("--cf", help="fee pool C_f in EUR/h (default: from a spot clearing)")
+    p_cap.add_argument("--allow-overlap", action="store_true",
+                       help="let dispatched plants join the reserve pool")
     return parser
 
 
@@ -95,10 +80,8 @@ def _write(payload: bytes, output: str | None) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    print(
-        f"OK: {len(scenario.plants)} plants, demand "
-        f"{to_number(scenario.market.demand)} MW, measure hyperbolic"
-    )
+    print(f"OK: {len(scenario.plants)} plants, demand "
+          f"{to_number(scenario.market.demand)} MW, measure hyperbolic")
     return EXIT_OK
 
 
@@ -109,9 +92,7 @@ def _cmd_clear(args: argparse.Namespace) -> int:
     if args.demand is not None:
         market = scenario.market._replace(demand=frac(args.demand))
         scenario = scenario._replace(market=market)
-    result = clear_scenario(
-        scenario, frac(args.p0) if args.p0 is not None else None
-    )
+    result = clear_scenario(scenario, frac(args.p0) if args.p0 is not None else None)
     _write(emit_report(result, args.format, args.rounding), args.output)
     return EXIT_OK
 
@@ -124,8 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = sweep_p0(scenario, _parse_grid(args.p0_grid))
     _write(emit_sweep(sweep, args.format, args.rounding), args.output)
     if args.fail_on_paradox and sweep.has_paradox:
-        print("paradox: capacity reserve depleted at some sweep points",
-              file=sys.stderr)
+        print("paradox: capacity reserve depleted at some sweep points", file=sys.stderr)
         return EXIT_PARADOX
     return EXIT_OK
 
@@ -141,8 +121,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     config = scenario.capacity
     if args.allow_overlap:
         config = config._replace(allow_overlap=True)
-    phi = {offer.plant_id: offer.phi for offer in result.offers}  # scored once
-    pool = build_pool(scenario.plants, phi, config, result.dispatch)
+    # None: the scores of the clearing, which the plant table keeps
+    pool = build_pool(scenario.plants, None, config, result.dispatched)
     try:
         settlement = settle(pool, cf)
     except UnallocatableFeeError as exc:
@@ -152,12 +132,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "clear": _cmd_clear,
-    "sweep": _cmd_sweep,
-    "capacity": _cmd_capacity,
-}
+_COMMANDS = {"validate": _cmd_validate, "clear": _cmd_clear, "sweep": _cmd_sweep,
+             "capacity": _cmd_capacity}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,8 @@
 """Report emission: plain tables, CSV, JSON and an SVG merit-order stack.
 
-All emitters are deterministic and byte-stable for identical inputs. The
-rounding mode affects displayed values only: `exact` prints full-precision
-floats, `paper-rounded` rounds money columns to integer EUR per unit, half
-away from zero.
-"""
+All emitters are byte-stable for identical inputs. The rounding mode
+affects displayed values only: `exact` prints full-precision floats,
+`paper-rounded` rounds money columns to integer EUR, half away from zero."""
 
 from __future__ import annotations
 
@@ -13,7 +11,6 @@ from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import lcm
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number
@@ -38,9 +35,7 @@ def check_format(report: str, format: str, rounding_mode: str = "exact") -> None
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r} (choose from {FORMATS})")
     if rounding_mode not in ROUNDING_MODES:
-        raise ValueError(
-            f"unknown rounding mode {rounding_mode!r} (choose from {ROUNDING_MODES})"
-        )
+        raise ValueError(f"unknown rounding mode {rounding_mode!r} (choose from {ROUNDING_MODES})")
 
 
 def _disp(x: Fraction, mode: str) -> int | float:
@@ -62,39 +57,31 @@ def _columns(parts: list[tuple[Sequence[int], Iterable[int], bool]]) -> list[lis
         raise
 
 
-def _pairs(values: Iterable[Fraction]) -> tuple[list[int], list[int]]:
-    values = list(values)
-    return [v.numerator for v in values], [v.denominator for v in values]
-
-
 def _clearing_blocks(result: ClearingResult, rounded: bool) -> list[list]:
     """The plants' rows for `_body`, in merit order: a block of the
     dispatched plants, then one of the rest. Each column is rendered from
-    int pairs (n, d); a margin P - o is (Pn·od - on·Pd)/(Pd·od) and a fee
-    r·m is (rn·mn)/(rd·md), unreduced, which render as the reduced values."""
-    offers, count = result.offers, len(result.dispatch)
-    phi, rate, offer, cap = (_pairs(map(attrgetter(name), offers))
-                             for name in ("phi", "fee_rate", "offer_price", "capacity"))
-    mw = _pairs(result.dispatch.values())
+    the result's int pairs (n, d); a margin P - o is (Pn·od - on·Pd)/(Pd·od)
+    and a fee r·m is (rn·mn)/(rd·md), unreduced, which render as the
+    reduced values."""
+    stack, count = result.stack, len(result.mw)
+    phi, rate, offer, cap, mw = (([n for n, _ in c], [d for _, d in c]) for c in (
+        stack.phis, stack.fees, stack.prices, stack.capacities, result.mw))
     pn, pd = result.clearing_price.numerator, result.clearing_price.denominator
     on, od = offer[0][:count], offer[1][:count]
     margin = [pn * d - n * pd for n, d in zip(on, od)], [pd * d for d in od]
     fee = [a * b for a, b in zip(rate[0], mw[0])], [a * b for a, b in zip(rate[1], mw[1])]
     columns = _columns([(*phi, False), (*rate, rounded), (*offer, rounded), (*cap, False),
                         (*mw, False), (*margin, rounded), (*fee, rounded)])
-    ids = [o.plant_id for o in offers]
+    ids = stack.ids
     return [[ids[:count], *(column[:count] for column in columns)],
             [ids[count:], *(column[count:] for column in columns[:4]), 0, "", ""]]
 
 
 def _clearing_summary(result: ClearingResult, mode: str) -> dict:
-    return {
-        "clearing_price_eur_per_mwh": _disp(result.clearing_price, mode),
-        "total_fee_cf_eur_per_h": _disp(total_fee(result, mode), mode),
-        "consumed_energy_mwh": to_number(result.consumed_energy),
-        "total_capacity_mw": to_number(result.total_capacity),
-        "blackout": result.blackout,
-    }
+    return {"clearing_price_eur_per_mwh": _disp(result.clearing_price, mode),
+            "total_fee_cf_eur_per_h": _disp(total_fee(result, mode), mode),
+            "consumed_energy_mwh": to_number(result.consumed_energy),
+            "total_capacity_mw": to_number(result.total_capacity), "blackout": result.blackout}
 
 
 _CHUNK = 512  # rows rendered at a time, so not every cell is a str at once
@@ -103,9 +90,8 @@ _CHUNK = 512  # rows rendered at a time, so not every cell is a str at once
 def _body(format: str, headers: list[str], blocks: list[list]) -> list[bytes]:
     """Rows as `format` writes them, `_CHUNK` rows to a bytes: CSV's header
     line and rows, a plain table's header, rule and padded rows, or JSON's
-    rows as objects with sorted keys at depth 2, joined by commas.
-
-    A block is a cell per header, the first a list: a list holds the value
+    rows as objects with sorted keys at depth 2, joined by commas. A block
+    is a cell per header, the first a list: a list holds the value
     of each of the block's rows, and any other cell is one value shared by
     them, rendered (encoded or padded) once, in the block's row template."""
     blocks = [block for block in blocks if block[0]]
@@ -164,11 +150,8 @@ def _with_rows(doc: dict, key: str, rows: list[bytes]) -> bytes:
     return b"".join([head, f'"{key}": [\n'.encode(), *rows, b"\n  ]", tail])
 
 
-def emit_report(
-    result: ClearingResult,
-    format: str = "plain-table",
-    rounding_mode: str = "exact",
-) -> bytes:
+def emit_report(result: ClearingResult, format: str = "plain-table",
+                rounding_mode: str = "exact") -> bytes:
     """Render one clearing result."""
     check_format("clearing", format, rounding_mode)
     if format == "svg-stack":
@@ -185,23 +168,19 @@ def emit_report(
     return b"".join([*rows, footer.encode("utf-8")])
 
 
-_PALETTE = (
-    "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",
-    "#fdb462", "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd",
-)
+_PALETTE = ("#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",
+            "#fdb462", "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd")
 
 
 def _svg_stack(result: ClearingResult) -> bytes:
     """Merit-order block diagram: width proportional to capacity, height to
     offer price, with the clearing price as a dashed rule and the served
     demand as a vertical marker."""
-    width, height = 800.0, 400.0
-    margin = 50.0
+    width, height, margin = 800.0, 400.0, 50.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     total_mw = to_float(result.total_capacity) or 1.0
     clearing_price = to_float(result.clearing_price)
-    max_price = max([to_float(o.offer_price) for o in result.offers]
-                    + [clearing_price, 1.0])
+    max_price = max([to_float(o.offer_price) for o in result.offers] + [clearing_price, 1.0])
     demand_mw = to_float(exact_sum(result.dispatch.values()))
 
     def x(mw: float) -> float:
@@ -216,53 +195,35 @@ def _svg_stack(result: ClearingResult) -> bytes:
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
     ]
     cursor, escape = 0.0, str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
     for i, offer in enumerate(result.offers):
         mw = to_float(offer.capacity)
-        price = to_float(offer.offer_price)
-        x0, x1 = x(cursor), x(cursor + mw)
-        y0 = y(price)
-        fill = _PALETTE[i % len(_PALETTE)]
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{height - margin - y0:.2f}" fill="{fill}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{(x0 + x1) / 2:.2f}" y="{height - margin + 14:.0f}" '
-            f'font-size="10" text-anchor="middle">{offer.plant_id.translate(escape)}</text>'
-        )
+        x0, x1, y0 = x(cursor), x(cursor + mw), y(to_float(offer.offer_price))
+        parts += [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+                  f'height="{height - margin - y0:.2f}" fill="{_PALETTE[i % len(_PALETTE)]}" '
+                  'stroke="black"/>',
+                  f'<text x="{(x0 + x1) / 2:.2f}" y="{height - margin + 14:.0f}" font-size="10" '
+                  f'text-anchor="middle">{offer.plant_id.translate(escape)}</text>']
         cursor += mw
     p_star_y = y(clearing_price)
-    parts.append(
-        f'<line x1="{margin}" y1="{p_star_y:.2f}" x2="{width - margin}" '
-        f'y2="{p_star_y:.2f}" stroke="red" stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{margin + 4:.0f}" y="{p_star_y - 4:.2f}" font-size="11" '
-        f'fill="red">p* = {clearing_price:g} EUR/MWh</text>'
-    )
+    parts += [f'<line x1="{margin}" y1="{p_star_y:.2f}" x2="{width - margin}" '
+              f'y2="{p_star_y:.2f}" stroke="red" stroke-dasharray="6,4"/>',
+              f'<text x="{margin + 4:.0f}" y="{p_star_y - 4:.2f}" font-size="11" '
+              f'fill="red">p* = {clearing_price:g} EUR/MWh</text>']
     if demand_mw > 0:
         demand_x = x(demand_mw)
-        parts.append(
-            f'<line x1="{demand_x:.2f}" y1="{margin}" x2="{demand_x:.2f}" '
-            f'y2="{height - margin}" stroke="red" stroke-dasharray="6,4"/>'
-        )
-        parts.append(
-            f'<text x="{demand_x + 4:.2f}" y="{margin + 12:.0f}" font-size="11" '
-            f'fill="red">q = {demand_mw:g} MW</text>'
-        )
+        parts += [f'<line x1="{demand_x:.2f}" y1="{margin}" x2="{demand_x:.2f}" '
+                  f'y2="{height - margin}" stroke="red" stroke-dasharray="6,4"/>',
+                  f'<text x="{demand_x + 4:.2f}" y="{margin + 12:.0f}" font-size="11" '
+                  f'fill="red">q = {demand_mw:g} MW</text>']
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def emit_sweep(
-    sweep: SweepResult,
-    format: str = "plain-table",
-    rounding_mode: str = "exact",
-) -> bytes:
+def emit_sweep(sweep: SweepResult, format: str = "plain-table",
+               rounding_mode: str = "exact") -> bytes:
     """Render a reference-price sweep as table records, a run at a time. At
     p0 = a/den a run's price u/v + (s/v)·p0 is (u·den + s·a)/(v·den) and its
     C_f (w/z)·p0 is w·a/(z·den): `ratio_column` renders each column over its
@@ -297,18 +258,16 @@ def emit_sweep(
     return b"".join([*rows, f"{prefix}change_points: {changes}\n".encode("utf-8")])
 
 
-def emit_settlement(
-    settlement: CapacitySettlement,
-    format: str = "plain-table",
-    rounding_mode: str = "exact",
-) -> bytes:
+def emit_settlement(settlement: CapacitySettlement, format: str = "plain-table",
+                    rounding_mode: str = "exact") -> bytes:
     """Render reliability payments in the order given (`settle` gives them
-    largest first, then by id)."""
+    largest first, then by id), each as its weight times the share, on ints."""
     check_format("settlement", format, rounding_mode)
-    payments = settlement.payments
+    (sn, sd), weights = settlement.share, settlement.weights
+    paid = ratio_column([n * sn for n, _ in weights], [d * sd for _, d in weights],
+                        rounding_mode == "paper-rounded")
     headers = ["plant_id", "reliability_payment_eur_per_h"]
-    rows = _body(format, headers, [[list(payments),
-                                    [_disp(value, rounding_mode) for value in payments.values()]]])
+    rows = _body(format, headers, [[list(settlement.ids), paid]])
     source = _disp(settlement.source_fee_cf, rounding_mode)
     if format == "json":
         return _with_rows({"payments": [], "summary": {"source_fee_cf_eur_per_h": source}},

@@ -1,37 +1,29 @@
 """Scenario model, with its market and capacity settings, and file ingestion
-(JSON canonical, CSV plant table).
-
-Scenario numbers are parsed into exact fractions; `start_up_time_h` accepts
-the string "inf" for plants with no guaranteed start-up. The parser checks
-only the document's structure and its number syntax: each scenario rule is
-checked by the model type that owns it, and the parser adds the JSON path
-to that type's error.
-"""
+(JSON canonical, CSV plant table). Numbers are parsed exactly, as int pairs
+in one `PlantTable` for the plants; `start_up_time_h` accepts "inf" for no
+guaranteed start-up. The parser checks only the document's structure and
+number syntax: each rule is checked by the type that owns it (a plant's by
+the functions `PowerPlant` and `StartUpTime` call), and the parser adds the
+JSON path to that type's error."""
 
 from __future__ import annotations
 
 import io
 import json
-from functools import cache
 from fractions import Fraction
+from functools import cache
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, first_duplicate, frac, parse_number
-from .plants import PlantIdError, PowerPlant, StartUpTime, flexibilities_for
+from ._numeric import MAX_SIGNIFICANT_DIGITS, Validated, first_duplicate, frac, json_ratio, ratio
+from .plants import (Pair, PlantIdError, PlantTable, PowerPlant, StartUpTime, check_hours,
+                     check_plant, flexibilities_for)
 
-__all__ = [
-    "MarketConfig",
-    "CapacityConfig",
-    "ScenarioError",
-    "ScenarioParseError",
-    "UnknownMeasureError",
-    "DuplicatePlantIdError",
-    "InvalidNumberError",
-    "Scenario",
-    "load_scenario",
-    "toy_grid",
-]
+__all__ = ["MarketConfig", "CapacityConfig", "ScenarioError", "ScenarioParseError",
+           "UnknownMeasureError", "DuplicatePlantIdError", "InvalidNumberError", "Scenario",
+           "load_scenario", "toy_grid"]
 
 
 class ScenarioError(ValueError):
@@ -97,55 +89,49 @@ class CapacityConfig(Validated, _CapacityConfigFields):
             raise ValueError("threshold: must lie in (0, 1)")
         if participants is not None:
             if not isinstance(participants, (list, tuple)):
-                raise ValueError(
-                    f"participants: expected None or a list of plant ids, got {participants!r}"
-                )
+                raise ValueError("participants: expected None or a list of plant ids, "
+                                 f"got {participants!r}")
             participants = tuple(participants)
         seen: set[str] = set()
         for i, pid in enumerate(participants or ()):
             if not isinstance(pid, str):
-                raise ValueError(
-                    f"participants[{i}]: expected a plant id string, got {pid!r}"
-                )
+                raise ValueError(f"participants[{i}]: expected a plant id string, got {pid!r}")
             if pid in seen:
                 raise ValueError(f"participants[{i}]: plant id {pid!r} is listed twice")
             seen.add(pid)
         if not isinstance(allow_overlap, bool):
-            raise ValueError(
-                f"allow_overlap: expected true or false, got {allow_overlap!r}"
-            )
+            raise ValueError(f"allow_overlap: expected true or false, got {allow_overlap!r}")
         return super().__new__(cls, threshold, participants, allow_overlap)
 
 
 class _ScenarioFields(NamedTuple):
-    plants: tuple[PowerPlant, ...]
+    plants: PlantTable
     market: MarketConfig
     capacity: CapacityConfig
 
 
 class Scenario(Validated, _ScenarioFields):
-    """Plants, market and capacity settings.
-
-    Construction checks the rules that span the parts: at least one plant,
-    unique plant ids, and an explicit participant list of known, eligible
-    plants (only the listed plants are scored for it).
-    Each error is a `ScenarioError` that names the section at fault.
-    """
+    """Plants (any sequence of PowerPlant, kept as a `PlantTable`), market and
+    capacity settings. Construction checks the rules that span the parts: at
+    least one plant, unique plant ids, and an explicit participant list of
+    known, eligible plants (only the listed plants are scored for it). Each
+    error is a `ScenarioError` that names the section at fault."""
 
     __slots__ = ()
 
-    def __new__(cls, plants: tuple[PowerPlant, ...], market: MarketConfig,
+    def __new__(cls, plants: Sequence[PowerPlant], market: MarketConfig,
                 capacity: CapacityConfig = CapacityConfig()) -> Scenario:
+        plants = PlantTable.of(plants)
         if not plants:
             raise ScenarioParseError("plants: expected at least one plant")
-        by_id = {p.id: p for p in plants}
-        if len(by_id) < len(plants):
-            duplicate = first_duplicate(p.id for p in plants)
+        position = dict(zip(plants.ids, count()))
+        if len(position) < len(plants):
+            duplicate = first_duplicate(plants.ids)
             raise DuplicatePlantIdError(f"plants: duplicate plant id {duplicate!r}")
         pinned = capacity.participants
         if pinned is not None:
             from .capacity import build_pool  # only a pinned pool needs it
-            listed = [by_id[pid] for pid in pinned if pid in by_id]
+            listed = plants.take(position[pid] for pid in pinned if pid in position)
             try:
                 build_pool(plants, flexibilities_for(listed), capacity)
             except ValueError as exc:
@@ -158,10 +144,11 @@ class Scenario(Validated, _ScenarioFields):
 
 # The keys each level of a scenario document may have.
 _TOP_KEYS = frozenset({"plants", "market", "capacity", "measure"})
-_PLANT_KEYS = frozenset(
-    {"id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw"}
-)
-_MARKET_KEYS = frozenset({"p0_eur_per_mwh", "demand_mw", "period_h"})
+_PLANT_FIELDS = ("id", "start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw")
+_PLANT_KEYS = frozenset(_PLANT_FIELDS)
+_plant_fields = itemgetter(*_PLANT_FIELDS)
+_MARKET_DEFAULTS = (("p0_eur_per_mwh", 0), ("demand_mw", 0), ("period_h", 1))
+_MARKET_KEYS = frozenset(key for key, _ in _MARKET_DEFAULTS)
 _CAPACITY_KEYS = frozenset({"threshold", "participants", "allow_overlap"})
 
 
@@ -182,6 +169,8 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
+    if not isinstance(record, dict):
+        raise ScenarioParseError(f"{path}: expected an object")
     if isinstance(record, _DuplicateKeyObject):
         error = f"{record.duplicate}: duplicate key"
     elif allowed.issuperset(record):
@@ -192,70 +181,70 @@ def _check_keys(record: dict, allowed: frozenset[str], path: str) -> None:
     raise ScenarioParseError(f"{path}.{error}" if path else error)
 
 
-def _number(raw: object, path: str, numbers: Callable = frac, field: str = "") -> Fraction:
-    """raw as an exact number, by `numbers`: `frac`, or a document's memo of
+def _number(raw: object, path: str, numbers: Callable = ratio, field: str = "") -> Pair:
+    """raw as a reduced pair, by `numbers`: `ratio`, or a document's memo of
     it. The error names path + field."""
     try:
-        if raw.__class__ is Fraction:  # a JSON float: parse_number, once per text
+        if isinstance(raw, _Number):  # a JSON literal, parsed once per text
             return raw  # type: ignore[return-value]
-        return (frac if raw.__class__ is bool else numbers)(raw)  # True == 1, but no number
+        return (ratio if raw.__class__ is bool else numbers)(raw)  # True == 1, but no number
     except TypeError:
         raise InvalidNumberError(f"{path}{field}: expected a number, got {raw!r}") from None
     except ValueError as exc:
         raise InvalidNumberError(f"{path}{field}: expected a number: {exc}") from None
 
 
-def _plant_from_record(record: dict, path: str, numbers: Callable,
-                       starts: dict[tuple[int, int] | None, StartUpTime]) -> PowerPlant:
-    """A plant record as a PowerPlant; plants with equal start-up times share
-    the one in `starts`, keyed on the hours' ints."""
-    _check_keys(record, _PLANT_KEYS, path)
-    raw_hours = record.get("start_up_time_h")
-    hours = (None if isinstance(raw_hours, str) and raw_hours == "inf"
-             else _number(raw_hours, path, numbers, ".start_up_time_h"))
-    mc = _number(record.get("marginal_cost_eur_per_mwh"), path, numbers,
-                 ".marginal_cost_eur_per_mwh")
-    capacity = _number(record.get("capacity_mw"), path, numbers, ".capacity_mw")
-    key = None if hours is None else hours.as_integer_ratio()
-    try:
-        if key not in starts:
-            starts[key] = StartUpTime(hours)
-        return PowerPlant(record.get("id"), starts[key], mc, capacity)
-    except PlantIdError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise InvalidNumberError(f"{path}: {exc}") from None
+def _plant_table(raw_plants: list) -> PlantTable:
+    """The plant records as a table, each checked in turn: its keys, its
+    numbers, then the plant rules. A JSON number is a pair already."""
+    numbers = cache(ratio)  # one document's other literals
+    columns = ids, hours, costs, capacities = [], [], [], []
+    for i, record in enumerate(raw_plants):
+        if record.__class__ is dict and len(record) == 4 and _PLANT_KEYS.issuperset(record):
+            pid, h, mc, cap = _plant_fields(record)
+        else:
+            _check_keys(record, _PLANT_KEYS, f"plants[{i}]")
+            pid, h, mc, cap = map(record.get, _PLANT_FIELDS)
+        if not isinstance(h, _Number):
+            h = (None if isinstance(h, str) and h == "inf"
+                 else _number(h, f"plants[{i}]", numbers, ".start_up_time_h"))
+        if not isinstance(mc, _Number):
+            mc = _number(mc, f"plants[{i}]", numbers, ".marginal_cost_eur_per_mwh")
+        if not isinstance(cap, _Number):
+            cap = _number(cap, f"plants[{i}]", numbers, ".capacity_mw")
+        try:
+            if h is not None:
+                check_hours(*h)
+            check_plant(pid, mc[0], cap[0])
+        except PlantIdError as exc:
+            raise ScenarioParseError(f"plants[{i}]: {exc}") from None
+        except ValueError as exc:
+            raise InvalidNumberError(f"plants[{i}]: {exc}") from None
+        ids.append(pid)
+        hours.append(h)
+        costs.append(mc)
+        capacities.append(cap)
+    return PlantTable(*columns)
 
 
 def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
-    raw_plants = doc.get("plants")
-    if not isinstance(raw_plants, list):
+    if not isinstance(doc.get("plants"), list):
         raise ScenarioParseError("plants: expected a list")
-    numbers, starts = cache(frac), {}  # one document's literals and start-up times
-    plants = []
-    for i, record in enumerate(raw_plants):
-        if not isinstance(record, dict):
-            raise ScenarioParseError(f"plants[{i}]: expected an object")
-        plants.append(_plant_from_record(record, f"plants[{i}]", numbers, starts))
+    plants = _plant_table(doc["plants"])
 
     market = doc.get("market", {})
-    if not isinstance(market, dict):
-        raise ScenarioParseError("market: expected an object")
     _check_keys(market, _MARKET_KEYS, "market")
-    p0 = _number(market.get("p0_eur_per_mwh", 0), "market.p0_eur_per_mwh")
-    demand = _number(market.get("demand_mw", 0), "market.demand_mw")
-    period = _number(market.get("period_h", 1), "market.period_h")
+    p0, demand, period = (Fraction(*_number(market.get(key, default), f"market.{key}"))
+                          for key, default in _MARKET_DEFAULTS)
     try:
         config = MarketConfig(p0, demand, period)
     except ValueError as exc:
         raise InvalidNumberError(f"market: {exc}") from None
 
     cap = doc.get("capacity", {})
-    if not isinstance(cap, dict):
-        raise ScenarioParseError("capacity: expected an object")
     _check_keys(cap, _CAPACITY_KEYS, "capacity")
     participants = cap.get("participants", "auto")
     if participants == "auto":
@@ -264,11 +253,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         participants = tuple(participants)
     else:
         raise ScenarioParseError('capacity.participants: expected "auto" or a list')
-    threshold = _number(cap.get("threshold", Fraction(1, 2)), "capacity.threshold")
+    threshold = Fraction(*_number(cap.get("threshold", Fraction(1, 2)), "capacity.threshold"))
     try:
-        capacity = CapacityConfig(
-            threshold, participants, cap.get("allow_overlap", False)
-        )
+        capacity = CapacityConfig(threshold, participants, cap.get("allow_overlap", False))
     except ValueError as exc:  # its messages start with the field's name
         raise ScenarioParseError(f"capacity.{exc}") from None
 
@@ -277,7 +264,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioParseError(f"measure: expected a measure name, got {measure!r}")
     if measure != "hyperbolic":
         raise UnknownMeasureError(f"measure: unknown measure {measure!r}")
-    return Scenario(tuple(plants), config, capacity)
+    return Scenario(plants, config, capacity)
 
 
 def _scenario_from_csv(text: str) -> Scenario:
@@ -289,16 +276,13 @@ def _scenario_from_csv(text: str) -> Scenario:
         if duplicate is not None:
             raise ScenarioParseError(f"CSV plant table: {duplicate}: duplicate column")
         if reader.fieldnames is None or set(reader.fieldnames) != _PLANT_KEYS:
-            raise ScenarioParseError(
-                f"CSV plant table must have exactly the columns {sorted(_PLANT_KEYS)}, "
-                f"got {reader.fieldnames}"
-            )
+            raise ScenarioParseError("CSV plant table must have exactly the columns "
+                                     f"{sorted(_PLANT_KEYS)}, got {reader.fieldnames}")
         records = []
         for row in reader:
             if None in row:  # DictReader's key for values beyond the header
-                raise ScenarioParseError(
-                    f"CSV plant table, line {reader.line_num}: more values than columns"
-                )
+                raise ScenarioParseError(f"CSV plant table, line {reader.line_num}: "
+                                         "more values than columns")
             records.append(row)
     except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
         line = reader.reader.line_num  # DictReader's own count lags a failed row
@@ -306,11 +290,29 @@ def _scenario_from_csv(text: str) -> Scenario:
     return _scenario_from_dict({"plants": records})
 
 
-def _json_int(text: str) -> int | Fraction:
+class _Number(tuple):
+    """A JSON number literal's value as a reduced (numerator, denominator).
+    An error message that quotes the value shows it as the parser once made
+    it: a Fraction, or for an int literal (`_Int`) the int."""
+
+    __slots__ = ()
+    SHOWN = "Fraction({}, {})"
+
+    def __repr__(self) -> str:
+        return self.SHOWN.format(*self)
+
+
+class _Int(_Number):
+    __slots__, SHOWN = (), "{}"
+
+
+def _json_float(text: str) -> _Number:
+    return _Number(json_ratio(text))
+
+
+def _json_int(text: str) -> _Number:
     # a literal this short is within parse_number's bounds
-    if len(text) <= MAX_SIGNIFICANT_DIGITS:
-        return int(text)
-    return parse_number(text)
+    return _Int((int(text), 1)) if len(text) <= MAX_SIGNIFICANT_DIGITS else _json_float(text)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -322,7 +324,7 @@ def load_scenario(path: str | Path) -> Scenario:
         return _scenario_from_csv(text)
     try:
         doc = json.loads(text, object_pairs_hook=_json_object,
-                         parse_float=cache(parse_number), parse_int=cache(_json_int))
+                         parse_float=cache(_json_float), parse_int=cache(_json_int))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:
@@ -332,20 +334,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return _scenario_from_dict(doc)
 
 
-def toy_grid(
-    p0: Fraction | int | str = 10,
-    demand: Fraction | int | str = 25,
-) -> Scenario:
+def toy_grid(p0: Fraction | int | str = 10, demand: Fraction | int | str = 25) -> Scenario:
     """The bundled eight-plant toy grid (5 MW each)."""
-    rows = [
-        ("wind", None, 1),
-        ("hydro", "0.02", 1),
-        ("gas", "0.12", 90),
-        ("chp", "0.17", 50),
-        ("ccgt", "5", 50),
-        ("coal", "6", 60),
-        ("lignite", "9", 40),
-        ("nuclear", "50", 5),
-    ]
+    rows = [("wind", None, 1), ("hydro", "0.02", 1), ("gas", "0.12", 90), ("chp", "0.17", 50),
+            ("ccgt", "5", 50), ("coal", "6", 60), ("lignite", "9", 40), ("nuclear", "50", 5)]
     plants = tuple(PowerPlant(pid, StartUpTime(hours), mc, 5) for pid, hours, mc in rows)
     return Scenario(plants, MarketConfig(p0, demand))

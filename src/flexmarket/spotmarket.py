@@ -2,12 +2,11 @@
 inflexibility-fee ledger.
 
 Each plant's offer is its marginal cost plus an inflexibility fee
-(1 - phi) * p0, where p0 is a market-wide reference price set by the market
-authority. Dispatch fills the merit order until the (inelastic) demand is
-met; the last dispatched plant sets the uniform clearing price. Fees are
-charged on dispatched power only and accumulate into the pool C_f that
-funds the capacity mechanism.
-"""
+(1 - phi) * p0, for a market-wide reference price p0. Dispatch fills the
+merit order until the inelastic demand is met; the last dispatched plant
+sets the uniform clearing price. Fees on dispatched power accumulate into
+the pool C_f that funds the capacity mechanism. All of it runs on columns
+of int pairs; Fractions are built only for a caller who reads them."""
 
 from __future__ import annotations
 
@@ -16,21 +15,13 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._numeric import coarse_runs, exact_sum, first_duplicate, ratio_number, sort_runs
-from .plants import PowerPlant
+from ._numeric import Rows, coarse_runs, exact_sum, first_duplicate, ratio_number, ratio_sum
+from ._numeric import sort_runs
+from .plants import Pair, PlantTable, PowerPlant, phi_column
 from .scenario import MarketConfig, Scenario
 
-__all__ = [
-    "MarketConfig",
-    "Offer",
-    "ClearingResult",
-    "make_offers",
-    "merit_order",
-    "clear",
-    "clear_scenario",
-    "total_fee",
-    "market_wide_fee_intensity",
-]
+__all__ = ["MarketConfig", "Offer", "OfferTable", "ClearingResult", "make_offers", "merit_order",
+           "clear", "clear_scenario", "total_fee", "market_wide_fee_intensity"]
 
 
 class Offer(NamedTuple):
@@ -44,152 +35,140 @@ class Offer(NamedTuple):
     capacity: Fraction
 
 
-class ClearingResult:
-    """One clearing. The dispatched plants (MW) are the first of the offers
-    in merit order; their fees and margins are derived when read."""
+class OfferTable(Rows):
+    """Offers as columns of ids and int pairs (an offer price's pair need not
+    be reduced). Its rows are Offers."""
 
-    def __init__(self, clearing_price: Fraction, dispatch: dict[str, Fraction],
-                 total_fee_cf: Fraction, consumed_energy: Fraction, blackout: bool,
-                 offers: tuple[Offer, ...] = ()) -> None:  # offers in merit order
-        self.clearing_price, self.dispatch = clearing_price, dispatch
-        self.total_fee_cf, self.consumed_energy = total_fee_cf, consumed_energy
-        self.blackout, self.offers = blackout, offers
+    __slots__ = ("ids", "prices", "fees", "phis", "capacities")
+    COLUMNS, ROW = __slots__, Offer
+
+
+class ClearingResult:
+    """One clearing: the offers in merit order (`stack`), of which the first
+    len(mw) are dispatched at the MW pairs `mw` (in full but for the
+    marginal one). The per-plant fields are built when read."""
+
+    def __init__(self, stack: OfferTable, mw: list[Pair], total_fee_cf: Pair,
+                 consumed_energy: Fraction, blackout: bool) -> None:
+        self.stack, self.mw, self.blackout = stack, mw, blackout
+        self.clearing_price = Fraction(*stack.prices[len(mw) - 1]) if mw else Fraction(0)
+        self.total_fee_cf, self.consumed_energy = Fraction(*total_fee_cf), consumed_energy
+
+    @cached_property
+    def offers(self) -> tuple[Offer, ...]:
+        return self.stack.rows
+
+    @cached_property
+    def dispatch(self) -> dict[str, Fraction]:
+        """Each dispatched plant's MW, in merit order."""
+        return {pid: Fraction(*mw) for pid, mw in zip(self.stack.ids, self.mw)}
 
     @cached_property
     def fee_ledger(self) -> dict[str, Fraction]:
         """Each dispatched plant's fee (EUR/h): its fee rate times its MW."""
-        return {o.plant_id: o.fee_rate * mw
-                for o, mw in zip(self.offers, self.dispatch.values())}
+        return {o.plant_id: o.fee_rate * mw for o, mw in zip(self.offers, self.dispatch.values())}
 
     @cached_property
     def profits(self) -> dict[str, Fraction]:
-        """Each dispatched plant's margin (EUR/MWh): the clearing price less
-        its offer."""
-        return {o.plant_id: self.clearing_price - o.offer_price
-                for o in self.offers[:len(self.dispatch)]}
+        """Each dispatched plant's margin (EUR/MWh): clearing price less offer."""
+        price = self.clearing_price
+        return {o.plant_id: price - o.offer_price for o in self.offers[:len(self.mw)]}
 
     @property
     def merit_order(self) -> tuple[str, ...]:
-        return tuple(o.plant_id for o in self.offers)
+        return tuple(self.stack.ids)
+
+    @property
+    def dispatched(self) -> list[str]:
+        return self.stack.ids[:len(self.mw)]
 
     @property
     def total_capacity(self) -> Fraction:
-        return exact_sum(o.capacity for o in self.offers)
+        return Fraction(*ratio_sum(self.stack.capacities))
 
 
-def make_offers(
-    plants: Sequence[PowerPlant],
-    phi: Mapping[str, Fraction],
-    config: MarketConfig,
-) -> list[Offer]:
-    """One offer per plant at full precision. Each distinct fee rate (per phi)
-    and offer price (per marginal cost and phi) is built once and shared."""
-    # (1 - n/d)·(a/b) and mc + that are each built from ints as one Fraction
+def make_offers(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction] | None,
+                config: MarketConfig) -> OfferTable:
+    """One offer per plant at full precision, on int pairs: the fee rate
+    (1 - phi)·p0 once per distinct phi, and the offer price mc + fee rate,
+    unreduced. A phi of None stands for the plants' own scores."""
+    table = PlantTable.of(plants)
+    phis = phi_column(table, phi)
     a, b = config.reference_price_p0.as_integer_ratio()
-    by_phi = {}  # phi's ints -> (fee rate, {mc's ints -> offer price})
-    offers = []
-    for plant_id, _, mc, capacity in plants:
-        try:
-            score = phi[plant_id]
-        except KeyError:
-            raise ValueError(f"no flexibility score for plant {plant_id!r}") from None
-        phi_ints = score.as_integer_ratio()
-        if phi_ints not in by_phi:
-            n, d = phi_ints
-            by_phi[phi_ints] = Fraction((d - n) * a, d * b), {}
-        fee_rate, prices = by_phi[phi_ints]
-        mc_ints = mc.as_integer_ratio()
-        offer_price = prices.get(mc_ints)
-        if offer_price is None:
-            (mn, md), (fn, fd) = mc_ints, fee_rate.as_integer_ratio()
-            offer_price = prices[mc_ints] = Fraction(mn * fd + fn * md, md * fd)
-        offers.append(Offer(plant_id, offer_price, fee_rate, score, capacity))
-    return offers
+    rate = {}
+    for n, d in set(phis):
+        g = gcd((d - n) * a, d * b)
+        rate[n, d] = (d - n) * a // g, d * b // g
+    fees = list(map(rate.__getitem__, phis))
+    prices = [(mn * fd + fn * md, md * fd) for (mn, md), (fn, fd) in zip(table.costs, fees)]
+    return OfferTable(table.ids, prices, fees, phis, table.capacities)
 
 
-def tie_key(phis: Iterable[Fraction]) -> Callable[[Fraction, str], tuple[int, str]]:
-    """The key that orders plants with equal offers, among these scores: a
-    plant's (phi, id) maps to the rank of phi among the distinct scores,
-    highest first, then the id. Equal offers compare on ints and ids."""
-    scores = list(dict.fromkeys(p.as_integer_ratio() for p in phis))
+def tie_key(phis: Iterable[Pair]) -> Callable[[Pair, str], tuple[int, str]]:
+    """The key that orders plants with equal offers, among these scores (as
+    reduced pairs): a plant's (phi, id) maps to the rank of phi among the
+    distinct scores, highest first, then the id."""
+    scores = list(dict.fromkeys(phis))
     ascending = sort_runs(*coarse_runs(scores), scores, lambda i: 0)  # no two are equal
     rank = {scores[i]: -r for r, i in enumerate(ascending)}
-    return lambda phi, plant_id: (rank[phi.as_integer_ratio()], plant_id)
+    return lambda phi, plant_id: (rank[phi], plant_id)
 
 
-def merit_order(offers: Sequence[Offer]) -> list[Offer]:
+def merit_order(offers: Sequence[Offer]) -> OfferTable:
     """Ascending by offer price; ties broken by higher phi, then plant id. phi
     is ranked only in the runs of `coarse_runs`, the only offers that can tie."""
     if not offers:
         raise ValueError("offer list must not be empty")
-    pairs = [o.offer_price.as_integer_ratio() for o in offers]
+    table = OfferTable.of(offers)
+    pairs, phis, ids = table.prices, table.phis, table.ids
     order, runs = coarse_runs(pairs)
     tied = [i for part in runs for i in order[part]]
-    key = tie_key(offers[i].phi for i in tied)
-    ties = {i: key(offers[i].phi, offers[i].plant_id) for i in tied}
-    return [offers[i] for i in sort_runs(order, runs, pairs, ties.__getitem__)]
+    key = tie_key(phis[i] for i in tied)
+    ties = {i: key(phis[i], ids[i]) for i in tied}
+    return table.take(sort_runs(order, runs, pairs, ties.__getitem__))
 
 
-def _fill(
-    capacities: Iterable[Fraction | int], demand: Fraction | int
-) -> tuple[int, int, int]:
-    """Fill demand (MW) from capacities taken in merit order.
-
-    Returns (count, rest, den): the first `count` plants are dispatched. A
-    positive rest / den is demand left unmet (a blackout, every plant
-    dispatched in full); a negative one is the MW the marginal plant leaves
-    unused. Ints and Fractions both work: only numerators and denominators
-    are read, and den grows only to cover the capacities visited.
-    """
+def _fill(capacities: Iterable[Pair], demand: Pair) -> tuple[int, int, int]:
+    """Fill demand (MW) from capacities taken in merit order, all as pairs:
+    the first `count` of (count, rest, den) are dispatched. A positive
+    rest/den is demand left unmet (a blackout); a negative one the MW the
+    marginal plant leaves unused. den grows only over the capacities visited."""
     count = 0
-    rest, den = demand.numerator, demand.denominator
-    for capacity in capacities:
+    rest, den = demand
+    for n, d in capacities:
         if rest <= 0:
             break
-        n, d = capacity.as_integer_ratio()
-        common = gcd(den, d)
-        scaled = n * (den // common)  # over lcm(den, its den)
-        if common != d:
-            grow = d // common
-            rest *= grow
-            den *= grow
-        rest -= scaled
+        if d != den:
+            common = gcd(den, d)
+            n *= den // common  # over lcm(den, d)
+            if common != d:
+                grow = d // common
+                rest *= grow
+                den *= grow
+        rest -= n
         count += 1
     return count, rest, den
 
 
 def clear(offers: Sequence[Offer], config: MarketConfig) -> ClearingResult:
     """Uniform-price clearing of inelastic demand against the merit order.
-
     The marginal (last dispatched) plant sets the clearing price and may be
     partially dispatched; its fee is pro-rata on dispatched MW. Demand above
-    total capacity is a blackout outcome (flag set, full dispatch at the
-    highest offer), not an error, so reference-price sweeps can continue.
-    """
-    ids = [offer.plant_id for offer in offers]
+    total capacity is a blackout (flag set, full dispatch at the highest
+    offer), not an error. C_f is summed on ints per product of denominators."""
+    table = OfferTable.of(offers)
+    ids = table.ids
     if len(set(ids)) < len(ids):
         raise ValueError(f"two offers for plant {first_duplicate(ids)!r}")
     demand = config.demand
-    stack = merit_order(offers) if offers else []
-    count, rest, den = _fill((o.capacity for o in stack), demand)
-    dispatch = {o.plant_id: o.capacity for o in stack[:count]}
-    clearing_price = Fraction(0)
-    if count:
-        marginal = stack[count - 1]
-        clearing_price = marginal.offer_price
-        if rest < 0:  # partly dispatched: den is a multiple of its denominator
-            capacity = marginal.capacity
-            dispatch[marginal.plant_id] = Fraction(
-                capacity.numerator * (den // capacity.denominator) + rest, den
-            )
-    return ClearingResult(
-        clearing_price=clearing_price,
-        dispatch=dispatch,
-        total_fee_cf=_product_sum(zip((o.fee_rate for o in stack), dispatch.values())),
-        consumed_energy=demand * config.period,
-        blackout=rest > 0,
-        offers=tuple(stack),
-    )
+    stack = merit_order(table) if ids else table
+    count, rest, den = _fill(stack.capacities, demand.as_integer_ratio())
+    mw = stack.capacities[:count]
+    if rest < 0:  # partly dispatched: den is a multiple of its denominator
+        n, d = mw[-1]
+        mw[-1] = n * (den // d) + rest, den
+    cf = ratio_sum((fn * n, fd * d) for (fn, fd), (n, d) in zip(stack.fees, mw))
+    return ClearingResult(stack, mw, cf, demand * config.period, rest > 0)
 
 
 def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingResult:
@@ -197,33 +176,19 @@ def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingRe
     config = scenario.market
     if p0 is not None:
         config = config._replace(reference_price_p0=p0)
-    offers = make_offers(scenario.plants, scenario.flexibilities(), config)
+    offers = make_offers(scenario.plants, None, config)  # the table's own scores
     return clear(offers, config)
 
 
-def _product_sum(pairs: Iterable[tuple[Fraction | int, Fraction]]) -> Fraction:
-    """The exact sum of x·y over the pairs: numerator products are added as
-    ints per product of denominators, and those sums by `exact_sum`."""
-    groups: dict[int, int] = {}
-    for x, y in pairs:
-        (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-        groups[xd * yd] = groups.get(xd * yd, 0) + xn * yn
-    return exact_sum(Fraction(n, d) for d, n in groups.items())
-
-
 def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
-    """The fee pool C_f in EUR/h.
-
-    `exact` sums the full-precision ledger. `paper-rounded` rounds each
-    per-plant fee rate to integer EUR/MWh before multiplying by dispatched
-    MW; it is a reporting convention only and never affects clearing.
-    """
+    """The fee pool C_f in EUR/h: the full-precision ledger (`exact`), or
+    with each fee rate rounded to integer EUR/MWh before it is multiplied by
+    the dispatched MW (`paper-rounded`, a reporting convention only)."""
     if mode == "exact":
         return result.total_fee_cf
     if mode == "paper-rounded":
-        rates = (ratio_number(o.fee_rate.numerator, o.fee_rate.denominator, True)
-                 for o in result.offers)
-        return _product_sum(zip(rates, result.dispatch.values()))
+        return Fraction(*ratio_sum((ratio_number(*rate, True) * n, d)
+                                   for rate, (n, d) in zip(result.stack.fees, result.mw)))
     raise ValueError(f"unknown fee mode {mode!r}")
 
 

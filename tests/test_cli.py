@@ -79,14 +79,14 @@ class TestValidate:
 
     def test_load_scores_only_pinned_plants(self, capsys, monkeypatch, toy_grid_path):
         scored = []
-        score = plants.flexibility
+        score = plants.score
 
-        def counting(t):  # counts the plants with a finite start-up time
-            if t.hours is not None:
-                scored.append(t.hours)
-            return score(t)
+        def counting(hours):  # counts the finite start-up times scored
+            if hours is not None:
+                scored.append(hours)
+            return score(hours)
 
-        monkeypatch.setattr(plants, "flexibility", counting)
+        monkeypatch.setattr(plants, "score", counting)
         pinned = str(toy_grid_path.parent / "toy-grid-pinned.json")
         assert run(capsys, "validate", str(toy_grid_path))[0] == 0
         assert scored == []  # an auto pool is scored where it is built
@@ -150,6 +150,31 @@ class TestValidate:
         assert err.startswith("validation error: CSV plant table, line 2: field larger")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["csv", "json"])
+    @pytest.mark.parametrize("digits", ["\u0661\u0662.\u0665", "\uff11\uff12", "\u0663e2"])
+    def test_non_ascii_digits_exit_1(self, capsys, tmp_path, where, digits):
+        # once read as 25/2, 12 and 300: `int` reads every script's digits
+        if where == "csv":
+            path = tmp_path / "plants.csv"
+            path.write_text("id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw\n"
+                            f"a,1,{digits},5\n", encoding="utf-8")
+        else:
+            path = tmp_path / "plants.json"
+            path.write_text(json.dumps({"plants": [
+                {"id": "a", "start_up_time_h": 1, "marginal_cost_eur_per_mwh": digits,
+                 "capacity_mw": 5}]}), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("validation error: plants[0].marginal_cost_eur_per_mwh: expected a "
+                       f"number: invalid numeric literal {digits!r}\n")
+
+    def test_ascii_padding_in_a_csv_cell_still_parses(self, capsys, tmp_path):
+        path = tmp_path / "plants.csv"
+        path.write_text("id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw\n"
+                        "a, 1 ,\t12.5 , 5\n")
+        assert run(capsys, "validate", str(path)) == (
+            0, "OK: 1 plants, demand 0 MW, measure hyperbolic\n", "")
+
     def test_deeply_nested_json_exit_1(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -172,6 +197,19 @@ class TestClear:
         assert code == 0
         doc = json.loads(out)
         assert abs(doc["summary"]["clearing_price_eur_per_mwh"] - 97.5) < 1e-9
+
+    @pytest.mark.parametrize("option", [["--p0", "\u0665"], ["--demand", "\uff13"],
+                                        ["--p0", "\u0664\u0660"]])
+    def test_non_ascii_digits_in_an_option_exit_1(self, capsys, tmp_path, toy_grid_path,
+                                                  option):
+        # `clear` on a CSV plant table with `--p0 \u0665 --demand \uff13` once exited 0
+        table = tmp_path / "plants.csv"
+        table.write_text("id,start_up_time_h,marginal_cost_eur_per_mwh,capacity_mw\n"
+                         "a,1,10,5\n")
+        for path in (table, toy_grid_path):
+            code, out, err = run(capsys, "clear", str(path), *option)
+            assert (code, out) == (1, "")
+            assert err == f"validation error: invalid numeric literal {option[1]!r}\n"
 
     def test_rounding_flag(self, capsys, toy_grid_path):
         code, out, _ = run(

@@ -52,6 +52,30 @@ def test_fractions_built_do_not_grow_with_the_plants(monkeypatch, tmp_path, caps
     assert counts[0] == counts[1]
 
 
+def distinct_scenario(path, n):
+    """n plants, each with its own decimal cost and start-up time, a third of
+    them eligible for the reserve; demand is about a fifth of the capacity."""
+    rows = [f'{{"id": "p{i}", "start_up_time_h": {i % 3 * 1.5 + i / 10**4:.4f}, '
+            f'"marginal_cost_eur_per_mwh": {i / 8:.3f}, "capacity_mw": {5 + i % 11}}}'
+            for i in range(n)]
+    path.write_text('{"plants": [' + ",\n".join(rows) + '], "market": '
+                    f'{{"p0_eur_per_mwh": 40, "demand_mw": {2 * n + 0.5}}}}}')
+    return path
+
+
+def test_capacity_builds_no_fraction_per_plant(monkeypatch, tmp_path, capsys):
+    # distinct values leave the memos nothing to share: the count stays flat
+    # only if the clearing and the settlement run on int pairs
+    counts = []
+    for n in (200, 200, 2000):  # the first call also imports the modules it runs
+        path = distinct_scenario(tmp_path / f"distinct-{n}.json", n)
+        counts.append(fractions_built(monkeypatch, ["capacity", str(path), "--format", "json",
+                                                    "--output", str(tmp_path / "out")]))
+        assert json.loads((tmp_path / "out").read_text())["payments"]  # a reserve is paid
+    capsys.readouterr()
+    assert counts[1] == counts[2]
+
+
 @pytest.mark.parametrize("field, number, flag", [
     (field, number, flag)
     for field in ("start_up_time_h", "marginal_cost_eur_per_mwh", "capacity_mw")

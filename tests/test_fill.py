@@ -1,6 +1,7 @@
-"""The one fill kernel that `clear` and `sweep_p0` share: on Fraction
-capacities (as `clear` passes them) and on the same capacities scaled to
-ints (as `sweep_p0` passes them), against the reference's fill."""
+"""The one fill kernel that `clear` and `sweep_p0` share: on the int pairs
+of Fraction capacities (as `clear` passes them) and on the same capacities
+scaled to ints over 1 (as `sweep_p0` passes them), against the reference's
+fill."""
 
 from fractions import Fraction
 from math import lcm
@@ -21,13 +22,17 @@ def reference_count_rest(capacities, demand):
     return len(dispatch), dispatch[-1] - capacities[len(dispatch) - 1]
 
 
+def pairs(values):
+    return [v.as_integer_ratio() for v in values]
+
+
 def fills(capacities, demand):
     """The kernel's (count, rest in MW) on Fractions and on ints over the
     lcm of every denominator."""
-    count, rest, den = _fill(capacities, demand)
+    count, rest, den = _fill(pairs(capacities), demand.as_integer_ratio())
     scale = lcm(demand.denominator, *(c.denominator for c in capacities))
-    scaled = [int(c * scale) for c in capacities]
-    int_count, int_rest, int_den = _fill(scaled, int(demand * scale))
+    scaled = [(int(c * scale), 1) for c in capacities]
+    int_count, int_rest, int_den = _fill(scaled, (int(demand * scale), 1))
     return (count, Fraction(rest, den)), (int_count, Fraction(int_rest, int_den * scale))
 
 
@@ -85,5 +90,5 @@ def test_edge_cases(capacities, demand, expected):
 
 def test_den_grows_only_over_the_plants_visited():
     capacities = [Fraction(1, BIG[0]), Fraction(1, BIG[1]), Fraction(1, BIG[2])]
-    count, _, den = _fill(capacities, Fraction(1, 2 * BIG[0]))
+    count, _, den = _fill(pairs(capacities), (1, 2 * BIG[0]))
     assert count == 1 and den == 2 * BIG[0]

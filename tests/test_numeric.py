@@ -1,9 +1,11 @@
 """The exact two-stage sort, the bounded numeric-literal parser and the
 reporting conversion."""
 
+import json
 import time
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +16,14 @@ from flexmarket._numeric import (
     _parse_literal,
     coarse_runs,
     exact_sum,
+    json_ratio,
     parse_number,
     ratio_column,
     ratio_number,
     sort_runs,
     to_number,
 )
+from flexmarket.scenario import _json_float, _json_int
 
 # Values that stress the integer floor key floor(v·2**64): equal values,
 # values closer together than 2**-64, negatives, and large numerators and
@@ -234,3 +238,78 @@ def test_ratio_column_is_ratio_number_per_value(nums, d, rounded):
 
 def test_integral_values_report_as_ints_at_any_size():
     assert to_number(Fraction(10**400)) == 10**400
+
+
+# JSON number texts (RFC 8259 grammar): a sign, an int part without leading
+# zeros, an optional fraction (leading zeros allowed) and an optional
+# exponent, up to 100 significant digits and exponents around +/-400.
+json_numbers = st.builds(
+    lambda sign, whole, part, exponent: sign + whole + part + exponent,
+    st.sampled_from(["", "-"]),
+    st.one_of(st.just("0"), st.builds(lambda lead, rest: lead + rest,
+                                      st.sampled_from("123456789"),
+                                      st.text("0123456789", max_size=99))),
+    st.one_of(st.just(""), st.builds(lambda zeros, digits: "." + "0" * zeros + digits,
+                                     st.integers(min_value=0, max_value=20),
+                                     st.text("0123456789", min_size=1, max_size=100))),
+    st.one_of(st.just(""), st.builds(
+        lambda e, sign, value: f"{e}{sign}{value}", st.sampled_from("eE"),
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.integers(min_value=0, max_value=30), st.sampled_from([399, 400, 401]),
+                  st.integers(min_value=0, max_value=10**6)))),
+)
+
+
+def assert_json_literal_matches_parse_number(text):
+    """json_ratio, and the loader's JSON hooks, give parse_number's value as a
+    reduced pair, or raise its ValueError with the same text."""
+    assert json.loads(text, parse_float=str, parse_int=str) == text  # a JSON number
+    try:
+        expected = parse_number(text)
+    except ValueError as exc:
+        for parse in (json_ratio, lambda t: json.loads(t, parse_float=_json_float,
+                                                        parse_int=_json_int)):
+            with pytest.raises(ValueError) as raised:
+                parse(text)
+            assert str(raised.value) == str(exc)
+        return
+    n, d = json_ratio(text)
+    assert d > 0 and gcd(n, d) == 1 and Fraction(n, d) == expected
+    loaded = json.loads(text, parse_float=_json_float, parse_int=_json_int)
+    assert (Fraction(*loaded) if isinstance(loaded, tuple) else loaded) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_numbers)
+def test_json_literal_pair_matches_parse_number(text):
+    assert_json_literal_matches_parse_number(text)
+
+
+@pytest.mark.parametrize("text", [
+    "-0", "-0.0", "0.000", "0e5", "-0E-401", "1.5E+3", "12E-2",
+    "1234567890123456", "12345678901234.56", "123456789012345.67",  # 16, 17, 18 characters
+    "-1234567890123.45", "-12345678901234.56", "0.000000000000001", "0.0000000000000001",
+    "9" * MAX_SIGNIFICANT_DIGITS, "9" * (MAX_SIGNIFICANT_DIGITS + 1),
+    "0." + "0" * 30 + "1" * MAX_SIGNIFICANT_DIGITS, "1" + "0" * 150 + ".5",
+    f"1e{MAX_DECIMAL_EXPONENT}", f"1e-{MAX_DECIMAL_EXPONENT}",
+    f"1e{MAX_DECIMAL_EXPONENT + 1}", f"-1E-{MAX_DECIMAL_EXPONENT + 1}",
+    "0." + "0" * (MAX_DECIMAL_EXPONENT - 1) + "1", "0." + "0" * MAX_DECIMAL_EXPONENT + "1",
+])
+def test_json_literal_pair_at_the_edges(text):
+    assert_json_literal_matches_parse_number(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "1_000.5", "\u0661\u0662.\u0665", "\uff11\uff12",
+                                  "\u0663e2", "1e\u0663", "\u0661/\u0662", "\u00a012",
+                                  "12\u2003"])
+def test_text_int_would_take_is_no_literal(text):
+    # int() reads "1_0" as 10, other scripts' digits as digits (Arabic-Indic
+    # "12.5", fullwidth "12", "3e2") and strips non-ASCII spaces
+    with pytest.raises(ValueError, match="invalid numeric literal"):
+        parse_number(text)
+
+
+@pytest.mark.parametrize("text, value", [(" 12.5\t", Fraction(25, 2)), ("\n7/4 ", Fraction(7, 4)),
+                                         ("\t-3e2\r\n", Fraction(-300))])
+def test_ascii_whitespace_padding_still_parses(text, value):
+    assert parse_number(text) == value

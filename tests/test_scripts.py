@@ -100,7 +100,7 @@ def test_stage_pairs_times_every_stage_of_the_repo_against_itself(tmp_path):
               if line.startswith("  ")]
     assert stages == ["load_scenario", "flexibilities", "make_offers", "merit_order", "clear",
                       "clear_scenario", "emit_report", "build_pool", "settle",
-                      "emit_settlement", "sweep_p0", "emit_sweep",
+                      "emit_settlement", "sweep_p0", "emit_sweep", "capacity_cli", "clear_cli",
                       "load_scenario+clear_scenario"]
     assert all("; won " in line for line in done.stdout.splitlines() if line.startswith("  "))
 
