@@ -29,7 +29,7 @@ def main() -> None:
 
     scenario = toy_grid(10, 25)
     pool = build_pool(
-        scenario.plants, scenario.flexibilities(),
+        scenario.plants,
         CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
     )
     for cf in (205, 790):

@@ -38,9 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # One process of one side: prints {stage: best seconds} as JSON. It imports
 # each stage by its public name, which stays the same in both checkouts when
-# the module that defines the stage does not.
+# the module that defines the stage does not. make_offers and build_pool get
+# the scores of `flexibilities` only in a checkout whose signature takes phi.
 WORKER = """
-import json, os, sys, time
+import inspect, json, os, sys, time
 from fractions import Fraction
 from flexmarket import (build_pool, clear, clear_scenario, emit_report, emit_settlement,
                         emit_sweep, load_scenario, make_offers, merit_order, settle, sweep_p0)
@@ -62,13 +63,19 @@ def stage(name, call):
 
 scenario = stage("load_scenario", lambda: load_scenario(path))
 phi = stage("flexibilities", scenario.flexibilities)
-offers = stage("make_offers", lambda: make_offers(scenario.plants, phi, scenario.market))
+
+def arguments(function, *rest):
+    scores = (phi,) if "phi" in inspect.signature(function).parameters else ()
+    return (scenario.plants, *scores, *rest)
+
+offer_args = arguments(make_offers, scenario.market)
+offers = stage("make_offers", lambda: make_offers(*offer_args))
 stage("merit_order", lambda: merit_order(offers))
 stage("clear", lambda: clear(offers, scenario.market))
 result = stage("clear_scenario", lambda: clear_scenario(scenario))
 stage("emit_report", lambda: emit_report(result, "json"))
-pool = stage("build_pool", lambda: build_pool(scenario.plants, phi, scenario.capacity,
-                                             result.dispatch))
+pool_args = arguments(build_pool, scenario.capacity, result.dispatch)
+pool = stage("build_pool", lambda: build_pool(*pool_args))
 settlement = stage("settle", lambda: settle(pool, result.total_fee_cf))
 stage("emit_settlement", lambda: emit_settlement(settlement, "json"))
 grid = p0_range(Fraction(0), Fraction(80), Fraction(4))

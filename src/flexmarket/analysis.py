@@ -195,7 +195,7 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
     table = scenario.plants
     phis, ids, n = table.phis, table.ids, len(table)
     # unchecked: `eligible_plants` chose them, or `Scenario` checked the list
-    candidates = reserve_candidates(table, None, scenario.capacity)
+    candidates = reserve_candidates(table, scenario.capacity)
     fee_share = [(d - p, d) for p, d in phis]  # 1 - phi, reduced
     d = lcm(*(md for _, md in table.costs), *(fd for _, fd in fee_share))
     mc_num = [mn * (d // md) for mn, md in table.costs]

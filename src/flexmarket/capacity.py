@@ -10,10 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Container, Iterable, NamedTuple, Sequence
 
 from ._numeric import Rows, Validated, coarse_runs, first_duplicate, frac, ratio_sum, sort_runs
-from .plants import Pair, PlantTable, PowerPlant, phi_column
+from .plants import Pair, PlantTable, PowerPlant
 from .scenario import CapacityConfig
 
 __all__ = ["UnallocatableFeeError", "CapacityConfig", "CapacityPool", "CapacitySettlement",
@@ -44,7 +44,7 @@ class _CapacityPoolFields(NamedTuple):
 
 class CapacityPool(Validated, _CapacityPoolFields):
     """Reserve participants as (plant_id, phi, capacity_mw) triples, one per
-    id, kept as `Members`."""
+    id and each phi in (threshold, 1], kept as `Members`."""
 
     __slots__ = ()
 
@@ -58,6 +58,8 @@ class CapacityPool(Validated, _CapacityPoolFields):
             if n * td <= tn * d:  # phi <= threshold, on ints
                 raise ValueError(f"{pid}: phi = {Fraction(n, d)} does not exceed threshold "
                                  f"{eligibility_threshold}")
+            if n > d:  # no measure scores above 1, and settle would overpay it
+                raise ValueError(f"{pid}: phi = {Fraction(n, d)} exceeds 1")
             if cap <= 0:
                 raise ValueError(f"{pid}: capacity must be > 0")
         repeated = first_duplicate(members.ids)
@@ -86,24 +88,21 @@ class CapacitySettlement:
         return {pid: Fraction(wn * sn, wd * sd) for pid, (wn, wd) in zip(self.ids, self.weights)}
 
 
-def eligible_plants(plants: Iterable[PowerPlant], phi: Mapping[str, Fraction] | None,
+def eligible_plants(plants: Iterable[PowerPlant],
                     config: CapacityConfig = CapacityConfig()) -> list[str]:
     """Plant ids with phi strictly above the config's threshold, by
     descending phi, then id. Scores are compared and sorted on their ints."""
-    return reserve_candidates(plants, phi, config._replace(participants=None)).ids
+    return reserve_candidates(plants, config._replace(participants=None)).ids
 
 
-def reserve_candidates(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction] | None,
-                       config: CapacityConfig) -> Members:
+def reserve_candidates(plants: Sequence[PowerPlant], config: CapacityConfig) -> Members:
     """The plants that may join the reserve, chosen once per scenario, as
-    unchecked members: the eligible ones (auto), or the explicit list, whose
-    ids must be known. For an explicit list, `phi` needs only the listed
-    plants' scores. Each id is one plant here, so no id comes twice. A phi
-    of None stands for the table's own scores (`phi_column`)."""
+    unchecked members with their own scores: the eligible ones (auto), or
+    the explicit list, whose ids must be known. Each id is one plant here,
+    so no id comes twice."""
     table = PlantTable.of(plants)
-    position = dict(zip(table.ids, count()))
+    phis, position = table.phis, dict(zip(table.ids, count()))
     if config.participants is None:
-        phis = phi_column(table, phi)
         tn, td = config.threshold.as_integer_ratio()
         above = {p: p[0] * td > tn * p[1] for p in set(phis)}  # each distinct score once
         kept = [i for i in position.values() if above[phis[i]]]
@@ -115,7 +114,7 @@ def reserve_candidates(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction]
             if pid not in position:
                 raise ValueError(f"unknown plant id {pid!r}")
         picked = [position[pid] for pid in config.participants]
-    return Members([table.ids[i] for i in picked], phi_column(table, phi, picked),
+    return Members([table.ids[i] for i in picked], [phis[i] for i in picked],
                    [table.capacities[i] for i in picked])
 
 
@@ -135,12 +134,12 @@ def reserve_members(candidates: Iterable[tuple[str, Fraction, Fraction]],
     return candidates
 
 
-def build_pool(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction] | None,
-               config: CapacityConfig = CapacityConfig(),
+def build_pool(plants: Sequence[PowerPlant], config: CapacityConfig = CapacityConfig(),
                dispatched: Iterable[str] = ()) -> CapacityPool:
-    """The reserve pool: `reserve_candidates`, then `reserve_members`, then
-    one `CapacityPool`, which checks each member once."""
-    candidates = reserve_candidates(plants, phi, config)
+    """The reserve pool, each member with its own score: `reserve_candidates`,
+    then `reserve_members`, then one `CapacityPool`, which checks each member
+    once."""
+    candidates = reserve_candidates(plants, config)
     return CapacityPool(reserve_members(candidates, config, set(dispatched)), config.threshold)
 
 

@@ -121,8 +121,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     config = scenario.capacity
     if args.allow_overlap:
         config = config._replace(allow_overlap=True)
-    # None: the scores of the clearing, which the plant table keeps
-    pool = build_pool(scenario.plants, None, config, result.dispatched)
+    pool = build_pool(scenario.plants, config, result.dispatched)
     try:
         settlement = settle(pool, cf)
     except UnallocatableFeeError as exc:

@@ -8,7 +8,7 @@ start-up at all (e.g. a wind turbine) scores exactly 0."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._numeric import Rows, Validated, frac
 
@@ -170,19 +170,6 @@ class PlantTable(Rows):
             self._phis = [scores[h] if h in scores else scores.setdefault(h, score(h))
                           for h in self.hours]
         return self._phis
-
-
-def phi_column(table: PlantTable, phi: Mapping[str, Fraction] | None,
-               indices: Sequence[int] | None = None) -> list[Pair]:
-    """The score of each of the table's plants (or of those at `indices`) as
-    pairs: its own `phis` if phi is None, else phi's, looked up by id."""
-    if phi is None:
-        return table.phis if indices is None else [table.phis[i] for i in indices]
-    ids = table.ids if indices is None else [table.ids[i] for i in indices]
-    try:
-        return [phi[pid].as_integer_ratio() for pid in ids]
-    except KeyError as exc:
-        raise ValueError(f"no flexibility score for plant {exc.args[0]!r}") from None
 
 
 def flexibilities_for(plants: Iterable[PowerPlant]) -> dict[str, Fraction]:

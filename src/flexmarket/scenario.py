@@ -133,7 +133,7 @@ class Scenario(Validated, _ScenarioFields):
             from .capacity import build_pool  # only a pinned pool needs it
             listed = plants.take(position[pid] for pid in pinned if pid in position)
             try:
-                build_pool(plants, flexibilities_for(listed), capacity)
+                build_pool(listed, capacity)
             except ValueError as exc:
                 raise ScenarioParseError(f"capacity.participants: {exc}") from None
         return super().__new__(cls, plants, market, capacity)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._numeric import Rows, coarse_runs, exact_sum, first_duplicate, ratio_number, ratio_sum
 from ._numeric import sort_runs
-from .plants import Pair, PlantTable, PowerPlant, phi_column
+from .plants import Pair, PlantTable, PowerPlant
 from .scenario import MarketConfig, Scenario
 
 __all__ = ["MarketConfig", "Offer", "OfferTable", "ClearingResult", "make_offers", "merit_order",
@@ -87,13 +87,12 @@ class ClearingResult:
         return Fraction(*ratio_sum(self.stack.capacities))
 
 
-def make_offers(plants: Sequence[PowerPlant], phi: Mapping[str, Fraction] | None,
-                config: MarketConfig) -> OfferTable:
+def make_offers(plants: Sequence[PowerPlant], config: MarketConfig) -> OfferTable:
     """One offer per plant at full precision, on int pairs: the fee rate
-    (1 - phi)·p0 once per distinct phi, and the offer price mc + fee rate,
-    unreduced. A phi of None stands for the plants' own scores."""
+    (1 - phi)·p0 once per distinct phi, each plant's own score, and the
+    offer price mc + fee rate, unreduced."""
     table = PlantTable.of(plants)
-    phis = phi_column(table, phi)
+    phis = table.phis
     a, b = config.reference_price_p0.as_integer_ratio()
     rate = {}
     for n, d in set(phis):
@@ -176,8 +175,7 @@ def clear_scenario(scenario: Scenario, p0: Fraction | None = None) -> ClearingRe
     config = scenario.market
     if p0 is not None:
         config = config._replace(reference_price_p0=p0)
-    offers = make_offers(scenario.plants, None, config)  # the table's own scores
-    return clear(offers, config)
+    return clear(make_offers(scenario.plants, config), config)
 
 
 def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:

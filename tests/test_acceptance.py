@@ -105,7 +105,7 @@ def test_criterion_4_documented_205_discrepancy():
 def test_criterion_5_settlement_table():
     toy = toy_grid(10, 25)
     pool = build_pool(
-        toy.plants, toy.flexibilities(),
+        toy.plants,
         CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
     )
     expected = {205: {"hydro": 74, "gas": 67, "chp": 64},

@@ -51,7 +51,7 @@ class TestSweep:
 
     def test_partition_at_every_point(self, toy):
         all_ids = {p.id for p in toy.plants}
-        eligible = set(eligible_plants(toy.plants, toy.flexibilities()))
+        eligible = set(eligible_plants(toy.plants))
         for point in sweep_rows(sweep_p0(toy, [Fraction(n) for n in range(0, 81, 5)])):
             rest = all_ids - point.dispatched - point.reserve
             assert point.dispatched | point.reserve | rest == all_ids

@@ -19,31 +19,26 @@ from flexmarket.scenario import load_scenario, toy_grid
 from flexmarket.spotmarket import clear_scenario
 
 
-@pytest.fixture
-def phis(toy):
-    return toy.flexibilities()
-
-
-def pool_of(toy, phis, ids):
+def pool_of(toy, ids):
     config = CapacityConfig(participants=tuple(ids), allow_overlap=True)
-    return build_pool(toy.plants, phis, config)
+    return build_pool(toy.plants, config)
 
 
 class TestEligibility:
-    def test_toy_grid_default_threshold(self, toy, phis):
-        assert set(eligible_plants(toy.plants, phis)) == {"hydro", "gas", "chp"}
+    def test_toy_grid_default_threshold(self, toy):
+        assert set(eligible_plants(toy.plants)) == {"hydro", "gas", "chp"}
 
-    def test_ordered_by_descending_phi(self, toy, phis):
-        assert eligible_plants(toy.plants, phis) == ["hydro", "gas", "chp"]
+    def test_ordered_by_descending_phi(self, toy):
+        assert eligible_plants(toy.plants) == ["hydro", "gas", "chp"]
 
-    def test_high_threshold_empties_pool(self, toy, phis):
+    def test_high_threshold_empties_pool(self, toy):
         # max phi on the toy grid is hydro's 50/51 = 0.98039 < 0.99
         config = CapacityConfig(threshold=Fraction("0.99"))
-        assert eligible_plants(toy.plants, phis, config) == []
+        assert eligible_plants(toy.plants, config) == []
 
-    def test_threshold_is_strict(self, toy, phis):
-        config = CapacityConfig(threshold=phis["hydro"])
-        assert "hydro" not in eligible_plants(toy.plants, phis, config)
+    def test_threshold_is_strict(self, toy):
+        config = CapacityConfig(threshold=toy.flexibilities()["hydro"])
+        assert "hydro" not in eligible_plants(toy.plants, config)
 
     def test_threshold_must_be_interior(self):
         for threshold in (0, 1, Fraction(-1, 2), 2):
@@ -52,41 +47,41 @@ class TestEligibility:
 
 
 class TestBuildPool:
-    def test_auto_rule_excludes_dispatched(self, toy, phis):
+    def test_auto_rule_excludes_dispatched(self, toy):
         dispatched = clear_scenario(toy).dispatch
-        pool = build_pool(toy.plants, phis, dispatched=dispatched)
+        pool = build_pool(toy.plants, dispatched=dispatched)
         assert [pid for pid, _, _ in pool.participants] == ["gas"]
 
-    def test_explicit_overlap_rejected_without_override(self, toy, phis):
+    def test_explicit_overlap_rejected_without_override(self, toy):
         with pytest.raises(ValueError, match="dispatched"):
             build_pool(
-                toy.plants, phis,
+                toy.plants,
                 CapacityConfig(participants=("hydro", "gas", "chp")),
                 dispatched={"hydro", "chp"},
             )
 
-    def test_override_allows_overlap(self, toy, phis):
+    def test_override_allows_overlap(self, toy):
         pool = build_pool(
-            toy.plants, phis,
+            toy.plants,
             CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
             dispatched={"hydro", "chp"},
         )
         assert len(pool.participants) == 3
 
-    def test_ineligible_participant_rejected(self, toy, phis):
+    def test_ineligible_participant_rejected(self, toy):
         with pytest.raises(ValueError):
-            pool_of(toy, phis, ["nuclear"])
+            pool_of(toy, ["nuclear"])
 
-    def test_repeated_participant_rejected(self, toy, phis):
+    def test_repeated_participant_rejected(self, toy):
         # CapacityConfig rejects the list before any pool is built
         with pytest.raises(ValueError, match=r"participants\[1\]: .*'hydro' is listed twice"):
-            pool_of(toy, phis, ["hydro", "hydro", "gas"])
+            pool_of(toy, ["hydro", "hydro", "gas"])
 
-    def test_auto_pool_holds_each_id_once(self, toy, phis):
+    def test_auto_pool_holds_each_id_once(self, toy):
         # a plant list that repeats an id (Scenario rejects one) still gives
         # a pool that pays out exactly C_f
         plants = toy.plants + (toy.plants[1],)  # hydro twice
-        pool = build_pool(plants, phis)
+        pool = build_pool(plants)
         assert [pid for pid, _, _ in pool.participants] == ["hydro", "gas", "chp"]
         assert sum(settle(pool, Fraction(100)).payments.values()) == 100
 
@@ -94,7 +89,7 @@ class TestBuildPool:
         (None, {"hydro", "chp"}, ["gas"]),  # auto: only the kept member
         (("hydro", "gas"), set(), ["hydro", "gas"]),  # a list: whole, once
     ])
-    def test_each_member_checked_once(self, monkeypatch, toy, phis, participants,
+    def test_each_member_checked_once(self, monkeypatch, toy, participants,
                                       dispatched, checked):
         seen = []
         new = CapacityPool.__new__
@@ -105,7 +100,7 @@ class TestBuildPool:
 
         monkeypatch.setattr(CapacityPool, "__new__", staticmethod(recording))
         config = CapacityConfig(participants=participants)
-        pool = build_pool(toy.plants, phis, config, dispatched)
+        pool = build_pool(toy.plants, config, dispatched)
         assert seen == checked == [pid for pid, _, _ in pool.participants]
         # a copy made by _replace is checked again
         with pytest.raises(ValueError, match="does not exceed threshold"):
@@ -127,44 +122,44 @@ class TestBuildPool:
         sweep = sweep_p0(scenario, p0_range(Fraction(0), Fraction(80), Fraction(10)))
         assert seen == [] and len(sweep.runs) > 1
 
-    def test_p_flex(self, toy, phis):
-        pool = pool_of(toy, phis, ["hydro", "gas", "chp"])
+    def test_p_flex(self, toy):
+        pool, phis = pool_of(toy, ["hydro", "gas", "chp"]), toy.flexibilities()
         assert pool.p_flex == 5 * (phis["hydro"] + phis["gas"] + phis["chp"])
 
 
 class TestSettle:
-    def test_three_plant_pool_cf_205(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["hydro", "gas", "chp"]), Fraction(205))
+    def test_three_plant_pool_cf_205(self, toy):
+        st = settle(pool_of(toy, ["hydro", "gas", "chp"]), Fraction(205))
         rounded = {pid: round(float(v)) for pid, v in st.payments.items()}
         assert rounded == {"hydro": 74, "gas": 67, "chp": 64}
 
-    def test_two_plant_pool_cf_205(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["gas", "chp"]), Fraction(205))
+    def test_two_plant_pool_cf_205(self, toy):
+        st = settle(pool_of(toy, ["gas", "chp"]), Fraction(205))
         rounded = {pid: round(float(v)) for pid, v in st.payments.items()}
         assert rounded == {"gas": 105, "chp": 100}
 
-    def test_three_plant_pool_cf_790(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["hydro", "gas", "chp"]), Fraction(790))
+    def test_three_plant_pool_cf_790(self, toy):
+        st = settle(pool_of(toy, ["hydro", "gas", "chp"]), Fraction(790))
         assert abs(st.payments["hydro"] - 284) < 1
         assert abs(st.payments["gas"] - 259) < 1
         # printed as 247; exact is 247.52
         assert abs(st.payments["chp"] - 247) <= 1
 
-    def test_two_plant_pool_cf_790(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["gas", "chp"]), Fraction(790))
+    def test_two_plant_pool_cf_790(self, toy):
+        st = settle(pool_of(toy, ["gas", "chp"]), Fraction(790))
         assert abs(st.payments["gas"] - 404) < 1
         assert abs(st.payments["chp"] - 386) < 1
 
-    def test_single_participant_gets_everything(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["gas"]), Fraction("123.45"))
+    def test_single_participant_gets_everything(self, toy):
+        st = settle(pool_of(toy, ["gas"]), Fraction("123.45"))
         assert st.payments == {"gas": Fraction("123.45")}
 
-    def test_zero_fee(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["hydro", "gas"]), Fraction(0))
+    def test_zero_fee(self, toy):
+        st = settle(pool_of(toy, ["hydro", "gas"]), Fraction(0))
         assert all(v == 0 for v in st.payments.values())
 
-    def test_conservation_exact(self, toy, phis):
-        st = settle(pool_of(toy, phis, ["hydro", "gas", "chp"]), Fraction(790))
+    def test_conservation_exact(self, toy):
+        st = settle(pool_of(toy, ["hydro", "gas", "chp"]), Fraction(790))
         assert sum(st.payments.values()) == 790
 
     def test_empty_pool_with_positive_fee_raises(self):
@@ -174,9 +169,9 @@ class TestSettle:
     def test_empty_pool_with_zero_fee_is_benign(self):
         assert settle(CapacityPool(()), Fraction(0)).payments == {}
 
-    def test_negative_fee_rejected(self, toy, phis):
+    def test_negative_fee_rejected(self, toy):
         with pytest.raises(ValueError):
-            settle(pool_of(toy, phis, ["gas"]), Fraction(-1))
+            settle(pool_of(toy, ["gas"]), Fraction(-1))
 
     def test_pool_rejects_ineligible_member(self):
         with pytest.raises(ValueError):
@@ -189,16 +184,20 @@ class TestSettle:
         # a score <= 0 could make P_flex <= 0, and so reverse or break the payments
         ((("a", Fraction(-1, 2), Fraction(5)), ("b", Fraction(1, 4), Fraction(5))),
          Fraction(-1), r"eligibility_threshold: must lie in \(0, 1\)"),
+        # no start-up time scores above 1: x would take 30/37 of C_f
+        ((("x", Fraction(3), Fraction(5)), ("y", Fraction(7, 10), Fraction(5))),
+         Fraction(1, 2), "x: phi = 3 exceeds 1"),
     ])
     def test_pool_rejects_what_settle_cannot_pay(self, members, threshold, message):
         with pytest.raises(ValueError, match=message):
             CapacityPool(members, threshold)
 
 
-# Scores above the default threshold 1/2: plain ones, ones closer together
-# than 2**-64, and ones over 20-digit coprime denominators, which all round
-# to the float 1.0.
+# Scores above the default threshold 1/2: 1 (a 0 h start-up), plain ones,
+# ones closer together than 2**-64, and ones over 20-digit coprime
+# denominators, which all round to the float 1.0.
 phis_above_half = st.one_of(
+    st.just(Fraction(1)),
     st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=50),
     st.builds(lambda k, bits: 1 - Fraction(k, 2**bits),
               st.integers(min_value=1, max_value=3), st.integers(min_value=60, max_value=200)),

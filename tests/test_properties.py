@@ -88,7 +88,7 @@ class TestSettlementProperties:
                 participants=None if participants is None else tuple(participants),
                 allow_overlap=data.draw(st.booleans()),
             )
-            pool = build_pool(plants, phis, config, dispatched)
+            pool = build_pool(plants, config, dispatched)
             payments = settle(pool, cf).payments
         except ValueError:  # ineligible, overlapping, repeated, or no one to pay
             return
@@ -126,33 +126,32 @@ class TestClearingProperties:
     @given(markets(demand_over_capacity=True))
     def test_dispatch_conservation(self, market):
         plants, config = market
-        phis = flexibilities_for(plants)
-        result = clear(make_offers(plants, phis, config), config)
+        result = clear(make_offers(plants, config), config)
         assert sum(result.dispatch.values(), Fraction(0)) == min(
             config.demand, result.total_capacity
         )
         assert result.blackout == (config.demand > result.total_capacity)
 
     @RUNS
-    @given(plant_lists(), money, money,
-           st.fractions(min_value=0, max_value=1, max_denominator=16))
-    def test_uniform_phi_never_reorders(self, plants, p0, demand, shared_phi):
-        # when every plant carries the same score, all offers shift by the
-        # same fee and the permutation must match the zero-fee one
-        phis = {p.id: shared_phi for p in plants}
+    @given(plant_lists(), money, money, start_up)
+    def test_uniform_phi_never_reorders(self, plants, p0, demand, shared_hours):
+        # when every plant has the same start-up time, and so the same score,
+        # all offers shift by the same fee and the permutation must match the
+        # zero-fee one
+        shared = StartUpTime(shared_hours)
+        plants = [PowerPlant(p.id, shared, p.marginal_cost, p.capacity) for p in plants]
         base = clear(
-            make_offers(plants, phis, MarketConfig(0, demand)), MarketConfig(0, demand)
+            make_offers(plants, MarketConfig(0, demand)), MarketConfig(0, demand)
         ).merit_order
         config = MarketConfig(p0, demand)
-        shifted = clear(make_offers(plants, phis, config), config).merit_order
+        shifted = clear(make_offers(plants, config), config).merit_order
         assert shifted == base
 
     @RUNS
     @given(markets())
     def test_dispatched_profits_nonnegative(self, market):
         plants, config = market
-        phis = flexibilities_for(plants)
-        result = clear(make_offers(plants, phis, config), config)
+        result = clear(make_offers(plants, config), config)
         assert all(m >= 0 for m in result.profits.values())
 
 
@@ -191,8 +190,7 @@ class TestDispatchOracle:
     @given(markets(plants_strategy=plant_lists(max_size=8)))
     def test_merit_dispatch_is_cost_minimal(self, market):
         plants, config = market
-        phis = flexibilities_for(plants)
-        offers = make_offers(plants, phis, config)
+        offers = make_offers(plants, config)
         result = clear(offers, config)
         if result.blackout or config.demand == 0:
             return

@@ -120,7 +120,7 @@ class TestEmitSweep:
 class TestEmitSettlement:
     def test_plain_table(self, toy):
         pool = build_pool(
-            toy.plants, toy.flexibilities(),
+            toy.plants,
             CapacityConfig(participants=("hydro", "gas", "chp"), allow_overlap=True),
         )
         text = emit_settlement(settle(pool, Fraction(790)), "plain-table",

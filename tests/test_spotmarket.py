@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from flexmarket._numeric import ratio_number
-from flexmarket.plants import PowerPlant, StartUpTime
+from flexmarket.capacity import build_pool
+from flexmarket.plants import PowerPlant, StartUpTime, flexibility
 from flexmarket.scenario import toy_grid
 from flexmarket.spotmarket import (
     MarketConfig,
@@ -28,37 +29,39 @@ ORDER_P0_70 = ("hydro", "chp", "wind", "nuclear", "gas", "lignite", "ccgt", "coa
 class TestMakeOffers:
     def test_wind_offer(self):
         plants = [PowerPlant("wind", StartUpTime(None), Fraction(1), Fraction(5))]
-        (offer,) = make_offers(plants, {"wind": Fraction(0)}, MarketConfig(10, 25))
+        (offer,) = make_offers(plants, MarketConfig(10, 25))
         assert offer.offer_price == 11
         assert offer.fee_rate == 10
 
     def test_hard_coal_offer(self):
         plants = [simple_plant("coal", mc=60, hours=6)]
-        (offer,) = make_offers(plants, {"coal": Fraction(1, 7)}, MarketConfig(70, 25))
+        (offer,) = make_offers(plants, MarketConfig(70, 25))
         assert offer.offer_price == 120
 
     def test_fully_flexible_plant_pays_no_fee(self):
-        plants = [simple_plant("ideal", mc=33)]
-        (offer,) = make_offers(plants, {"ideal": Fraction(1)}, MarketConfig(1000, 25))
+        plants = [simple_plant("ideal", mc=33, hours=0)]
+        (offer,) = make_offers(plants, MarketConfig(1000, 25))
         assert offer.offer_price == 33
         assert offer.fee_rate == 0
 
     def test_nuclear_offer_displays_as_15(self):
         plants = [simple_plant("nuclear", mc=5, hours=50)]
-        (offer,) = make_offers(plants, {"nuclear": Fraction(1, 51)}, MarketConfig(10, 25))
+        (offer,) = make_offers(plants, MarketConfig(10, 25))
         assert abs(offer.offer_price - Fraction("14.804")) < Fraction("0.001")
         assert round(float(offer.offer_price)) == 15
 
-    def test_missing_flexibility_rejected(self):
-        with pytest.raises(ValueError, match="no flexibility"):
-            make_offers([simple_plant("a")], {}, MarketConfig(10, 25))
-
     def test_price_identity(self, toy):
-        offers = make_offers(toy.plants, toy.flexibilities(), toy.market)
-        mc = {p.id: p.marginal_cost for p in toy.plants}
+        offers = make_offers(toy.plants, toy.market)
+        plant = {p.id: p for p in toy.plants}
         for o in offers:
-            assert o.offer_price == mc[o.plant_id] + o.fee_rate
+            assert o.offer_price == plant[o.plant_id].marginal_cost + o.fee_rate
             assert o.fee_rate >= 0
+            assert o.phi == flexibility(plant[o.plant_id].start_up_time)
+        # the reserve scores each member by its own start-up time too
+        members = build_pool(toy.plants).participants
+        assert [pid for pid, _, _ in members] == ["hydro", "gas", "chp"]
+        for pid, phi, _ in members:
+            assert phi == flexibility(plant[pid].start_up_time)
 
 
 class TestMeritOrder:
@@ -105,9 +108,9 @@ class TestClear:
         assert abs(result.clearing_price - Fraction("51.45")) < Fraction("0.005")
 
     def test_duplicate_offer_for_one_plant_rejected(self):
-        plants = [simple_plant("a", mc=10), simple_plant("b", mc=20)]
+        plants = [simple_plant("a", mc=10), simple_plant("b", mc=20, hours=2)]
         config = MarketConfig(10, 7)
-        offers = make_offers(plants, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, config)
+        offers = make_offers(plants, config)
         cheaper = Offer("a", Fraction(1), Fraction(0), Fraction(1, 2), Fraction(5))
         with pytest.raises(ValueError, match="'a'"):
             clear(offers + [cheaper], config)
@@ -133,18 +136,18 @@ class TestClear:
         assert sum(result.dispatch.values()) == 40
 
     def test_marginal_plant_partially_dispatched(self):
-        plants = [simple_plant("a", mc=1, cap=5), simple_plant("b", mc=2, cap=5)]
-        phis = {"a": Fraction(1), "b": Fraction(1)}
+        plants = [simple_plant("a", mc=1, cap=5, hours=0),
+                  simple_plant("b", mc=2, cap=5, hours=0)]
         config = MarketConfig(0, 7)
-        result = clear(make_offers(plants, phis, config), config)
+        result = clear(make_offers(plants, config), config)
         assert result.dispatch == {"a": 5, "b": 2}
         assert result.clearing_price == 2
 
     def test_block_boundary_demand_excludes_next_plant(self):
-        plants = [simple_plant("a", mc=1, cap=5), simple_plant("b", mc=2, cap=5)]
-        phis = {"a": Fraction(1), "b": Fraction(1)}
+        plants = [simple_plant("a", mc=1, cap=5, hours=0),
+                  simple_plant("b", mc=2, cap=5, hours=0)]
         config = MarketConfig(0, 5)
-        result = clear(make_offers(plants, phis, config), config)
+        result = clear(make_offers(plants, config), config)
         assert result.dispatch == {"a": 5}
         assert result.clearing_price == 1
 
