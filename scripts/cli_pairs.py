@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES
 
 
 def run_once(checkout: Path, command: list[str], out_path: Path) -> tuple[float, int, bytes]:

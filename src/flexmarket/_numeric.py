@@ -35,29 +35,25 @@ _COARSE_BITS = 64
 
 
 def frac(value: int | float | str | Fraction) -> Fraction:
-    """Coerce a numeric input to an exact Fraction; a float through its
-    decimal repr, so 0.12 becomes 3/25 exactly rather than the binary float."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a numeric value")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return parse_number(value)
-    raise TypeError(f"cannot interpret {value!r} as a number")
+    """A numeric input as an exact Fraction, read by `ratio`."""
+    return value if isinstance(value, Fraction) else Fraction(*ratio(value))
 
 
 def ratio(value: int | float | str | Fraction) -> tuple[int, int]:
-    """frac(value) as its reduced (numerator, denominator); an int or a
-    literal builds no Fraction."""
+    """A numeric input as its reduced (numerator, denominator): an int or a
+    Fraction as it is, a str by `parse_ratio`, a float by its decimal repr
+    (0.12 is 3/25, not the binary float), and any other object by its own
+    `as_integer_ratio` (a `StartUpTime` gives None when unbounded). A bool,
+    or an object without `as_integer_ratio`, raises TypeError."""
     if value.__class__ is int:
         return value, 1
-    if value.__class__ is str:
+    if isinstance(value, str):
         return parse_ratio(value)
-    return frac(value).as_integer_ratio()
+    if isinstance(value, float):
+        return parse_ratio(float.__repr__(value))
+    if isinstance(value, bool) or not hasattr(value, "as_integer_ratio"):
+        raise TypeError(f"cannot interpret {value!r} as a number")
+    return value.as_integer_ratio()
 
 
 class Validated:
@@ -74,26 +70,27 @@ class Validated:
 class Rows(Sequence):
     """A read-only sequence kept as columns: the first holds each row's id,
     the others its values as (numerator, denominator) int pairs. The rows,
-    `ROW(id, *Fractions)`, are built all at once when a caller first reads
-    one. It equals, and hashes as, the tuple of its rows."""
+    `ROW(id, *Fractions)`, are built from the columns all at once when a
+    caller first reads one. It equals, and hashes as, the tuple of its rows."""
 
     __slots__ = ("_rows",)
     COLUMNS: tuple[str, ...] = ()
     ROW: Callable[..., Any] = staticmethod(lambda *row: row)
 
-    def __init__(self, *columns: list, rows: tuple | None = None) -> None:
+    def __init__(self, *columns: list) -> None:
         for name, column in zip(self.COLUMNS, columns):
             setattr(self, name, column)
-        self._rows = rows
+        self._rows: tuple | None = None
 
     @classmethod
     def of(cls: type[T], rows: Iterable[Any]) -> T:
-        """The rows as columns (such a sequence as it is)."""
+        """The rows as columns, each value read by `ratio` (such a sequence
+        as it is)."""
         if isinstance(rows, cls):
             return rows
         rows = tuple(rows)
-        return cls([row[0] for row in rows], *([row[k].as_integer_ratio() for row in rows]
-                                               for k in range(1, len(cls.COLUMNS))), rows=rows)
+        return cls([row[0] for row in rows], *([ratio(row[k]) for row in rows]
+                                               for k in range(1, len(cls.COLUMNS))))
 
     def _build(self, fraction: Callable[[tuple[int, int]], Fraction]) -> Iterable:
         for pid, *values in zip(*map(self.__getattribute__, self.COLUMNS)):
@@ -110,9 +107,8 @@ class Rows(Sequence):
     def take(self: T, order: Iterable[int]) -> T:
         """The rows at these indices, in this order."""
         order = list(order)
-        rows = None if self._rows is None else tuple(map(self._rows.__getitem__, order))
         return type(self)(*(list(map(getattr(self, name).__getitem__, order))
-                            for name in self.COLUMNS), rows=rows)
+                            for name in self.COLUMNS))
 
     def __len__(self) -> int:
         return len(getattr(self, self.COLUMNS[0]))
@@ -282,46 +278,34 @@ FORMATS = ("plain-table", "csv", "json", "svg-stack")
 ROUNDING_MODES = ("exact", "paper-rounded")
 
 
-def to_float(x: Fraction) -> float:
-    """The nearest float to x; ValueError if x is beyond the float range."""
-    try:
-        return x.numerator / x.denominator  # what float(x) computes
-    except OverflowError:
-        raise ValueError(
-            f"a value of about 2**{x.numerator.bit_length() - x.denominator.bit_length()}"
-            " is too large to report as a float"
-        ) from None
-
-
 def ratio_number(n: int, d: int, rounded: bool = False) -> int | float:
-    """n/d for ints n and d > 0, as a report writes it, whether reduced or not.
-    Rounded: the nearest int, ties away from zero. Otherwise the int when d
-    divides n, else the nearest float (int true division rounds correctly,
-    as `to_float` does), and to_float's ValueError beyond the float range."""
-    if rounded:
-        q = (2 * abs(n) + d) // (2 * d)
-        return -q if n < 0 else q
-    if n % d == 0:
-        return n // d
-    try:
-        return n / d
-    except OverflowError:
-        return to_float(Fraction(n, d))  # raises, naming the reduced value
+    """n/d as `ratio_column` reports it."""
+    return ratio_column((n,), (d,), rounded)[0]
 
 
 def ratio_column(nums: Sequence[int], dens: Iterable[int],
                  rounded: bool = False) -> list[int | float]:
-    """[ratio_number(n, d, rounded) for n, d in zip(nums, dens)], a column
-    at a time: the same ints, floats and ValueError, without a call per
-    value. `dens` may be read twice: a sequence, or `itertools.repeat(d)`
-    for one d in every row."""
+    """Each n/d (d > 0) of nums and dens as a report writes it, whether
+    reduced or not. Rounded: the nearest int, ties away from zero. Otherwise
+    the int when d divides n, else the nearest float (int true division
+    rounds correctly), and a ValueError that names the first value beyond
+    the float range. `dens` may be read twice: a sequence, or
+    `itertools.repeat(d)` for one d in every row."""
     if rounded:
         return [(2 * n + d) // (2 * d) if n >= 0 else -((d - 2 * n) // (2 * d))
                 for n, d in zip(nums, dens)]
     try:
         return [n // d if n % d == 0 else n / d for n, d in zip(nums, dens)]
-    except OverflowError:  # raises for the first such n / d
-        return [ratio_number(n, d) for n, d in zip(nums, dens)]
+    except OverflowError:
+        for n, d in zip(nums, dens):  # the first n / d that raises it
+            try:
+                if n % d:
+                    n / d
+            except OverflowError:
+                n, d = _reduced(n, d)
+                raise ValueError(f"a value of about 2**{n.bit_length() - d.bit_length()}"
+                                 " is too large to report as a float") from None
+        raise
 
 
 def to_number(x: Fraction) -> int | float:

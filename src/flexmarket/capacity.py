@@ -50,6 +50,7 @@ class CapacityPool(Validated, _CapacityPoolFields):
 
     def __new__(cls, participants: Iterable[tuple[str, Fraction, Fraction]],
                 eligibility_threshold: Fraction = Fraction(1, 2)) -> CapacityPool:
+        eligibility_threshold = frac(eligibility_threshold)
         if not 0 < eligibility_threshold < 1:  # so every phi, and P_flex, is > 0
             raise ValueError("eligibility_threshold: must lie in (0, 1)")
         members = Members.of(participants)

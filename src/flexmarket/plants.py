@@ -150,8 +150,8 @@ class PlantTable(Rows):
     __slots__ = ("ids", "hours", "costs", "capacities", "_phis")
     COLUMNS = ("ids", "hours", "costs", "capacities")
 
-    def __init__(self, *columns: list, rows: tuple | None = None) -> None:
-        super().__init__(*columns, rows=rows)
+    def __init__(self, *columns: list) -> None:
+        super().__init__(*columns)
         self._phis: list[Pair] | None = None
 
     def _build(self, fraction: Callable[[Pair], Fraction]) -> Iterator[PowerPlant]:

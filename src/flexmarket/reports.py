@@ -13,8 +13,7 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number
-from ._numeric import to_float, to_number
+from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number, to_number
 from .spotmarket import ClearingResult, total_fee
 
 if TYPE_CHECKING:  # for annotations only
@@ -172,16 +171,26 @@ _PALETTE = ("#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",
             "#fdb462", "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd")
 
 
+def _drawn(x: Fraction) -> float:
+    """x as a float to draw. `to_number` gives an int beyond the float range
+    as it is, which no drawing can hold: it raises the ValueError of x + 1/2,
+    which names the same power of two."""
+    try:
+        return float(to_number(x))
+    except OverflowError:
+        return to_number(x + Fraction(1, 2))
+
+
 def _svg_stack(result: ClearingResult) -> bytes:
     """Merit-order block diagram: width proportional to capacity, height to
     offer price, with the clearing price as a dashed rule and the served
     demand as a vertical marker."""
     width, height, margin = 800.0, 400.0, 50.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    total_mw = to_float(result.total_capacity) or 1.0
-    clearing_price = to_float(result.clearing_price)
-    max_price = max([to_float(o.offer_price) for o in result.offers] + [clearing_price, 1.0])
-    demand_mw = to_float(exact_sum(result.dispatch.values()))
+    total_mw = _drawn(result.total_capacity) or 1.0
+    clearing_price = _drawn(result.clearing_price)
+    max_price = max([_drawn(o.offer_price) for o in result.offers] + [clearing_price, 1.0])
+    demand_mw = _drawn(exact_sum(result.dispatch.values()))
 
     def x(mw: float) -> float:
         return margin + plot_w * mw / total_mw
@@ -199,8 +208,8 @@ def _svg_stack(result: ClearingResult) -> bytes:
     ]
     cursor, escape = 0.0, str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
     for i, offer in enumerate(result.offers):
-        mw = to_float(offer.capacity)
-        x0, x1, y0 = x(cursor), x(cursor + mw), y(to_float(offer.offer_price))
+        mw = _drawn(offer.capacity)
+        x0, x1, y0 = x(cursor), x(cursor + mw), y(_drawn(offer.offer_price))
         parts += [f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                   f'height="{height - margin - y0:.2f}" fill="{_PALETTE[i % len(_PALETTE)]}" '
                   'stroke="black"/>',

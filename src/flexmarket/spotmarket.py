@@ -15,8 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._numeric import Rows, coarse_runs, exact_sum, first_duplicate, ratio_number, ratio_sum
-from ._numeric import sort_runs
+from ._numeric import Rows, coarse_runs, first_duplicate, ratio_column, ratio_sum, sort_runs
 from .plants import Pair, PlantTable, PowerPlant
 from .scenario import MarketConfig, Scenario
 
@@ -185,11 +184,12 @@ def total_fee(result: ClearingResult, mode: str = "exact") -> Fraction:
     if mode == "exact":
         return result.total_fee_cf
     if mode == "paper-rounded":
-        return Fraction(*ratio_sum((ratio_number(*rate, True) * n, d)
-                                   for rate, (n, d) in zip(result.stack.fees, result.mw)))
+        fees = result.stack.fees[:len(result.mw)]
+        rates = ratio_column([n for n, _ in fees], [d for _, d in fees], True)
+        return Fraction(*ratio_sum((rate * n, d) for rate, (n, d) in zip(rates, result.mw)))
     raise ValueError(f"unknown fee mode {mode!r}")
 
 
 def market_wide_fee_intensity(offers: Sequence[Offer]) -> Fraction:
     """Sum of fee rates over all offering plants (EUR/MWh), dispatch-independent."""
-    return exact_sum(o.fee_rate for o in offers)
+    return Fraction(*ratio_sum(OfferTable.of(offers).fees))

@@ -232,6 +232,21 @@ class TestClear:
         assert err.startswith("validation error:")
         assert "too large to report" in err
 
+    def test_int_beyond_float_range_written_but_not_drawn(self, capsys, tmp_path):
+        # a table writes the capacity 1e350 as the int it is; a drawing has
+        # no float for it, and names it as a fraction beyond the range
+        plant = {"id": "only", "start_up_time_h": 0, "marginal_cost_eur_per_mwh": 1,
+                 "capacity_mw": "HUGE"}
+        path = tmp_path / "huge-capacity.json"
+        path.write_text(json.dumps({"plants": [plant], "market": {"demand_mw": 5}})
+                        .replace('"HUGE"', "1e350"))
+        code, out, _ = run(capsys, "clear", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["summary"]["total_capacity_mw"] == 10**350
+        code, out, err = run(capsys, "clear", str(path), "--format", "svg-stack")
+        assert (code, out) == (1, "")
+        assert err == ("validation error: a value of about 2**1162 is too large to report "
+                       "as a float\n")
+
     def test_svg_stack_drawn_where_no_table_can_be(self, capsys, tmp_path):
         # the fee of 2/3·1e300 EUR/MWh on 1e100 MW is beyond the float
         # range, but every value the SVG draws is within it

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from flexmarket.capacity import CapacityConfig, CapacityPool
-from flexmarket.plants import StartUpTime
-from flexmarket.scenario import ScenarioParseError, toy_grid
+from flexmarket.capacity import CapacityConfig, CapacityPool, settle
+from flexmarket.plants import PowerPlant, StartUpTime
+from flexmarket.scenario import MarketConfig, ScenarioParseError, toy_grid
+from flexmarket.spotmarket import Offer, clear, market_wide_fee_intensity
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,6 +66,22 @@ def test_participants_list_stored_as_tuple():
 def test_replace_coerces_like_the_constructor():
     demand = TOY.market._replace(demand="12.5").demand
     assert type(demand) is Fraction and demand == Fraction(25, 2)
+    # every Python entry point reads a float by its decimal repr, as
+    # PowerPlant does, and a str as a literal
+    assert PowerPlant("x", StartUpTime(0), 0.1, 5).marginal_cost == Fraction(1, 10)
+    pool = CapacityPool([("x", 0.7, 5), ("y", Fraction(3, 4), 2.5)])
+    assert pool.participants[0] == ("x", Fraction(7, 10), Fraction(5))
+    assert settle(pool, 100).payments == {"x": Fraction(2800, 43), "y": Fraction(1500, 43)}
+    assert settle(pool, 0.1).source_fee_cf == Fraction(1, 10)
+    threshold = CapacityPool(pool.participants, 0.1).eligibility_threshold
+    assert type(threshold) is Fraction and threshold == Fraction(1, 10)
+    assert CapacityPool(pool.participants, "1/3").eligibility_threshold == Fraction(1, 3)
+    offer, market = Offer("a", 0.1, 0.1, Fraction(1, 2), 5), MarketConfig(0, 5)
+    assert clear([offer], market).clearing_price == Fraction(1, 10)
+    assert market_wide_fee_intensity([offer]) == Fraction(1, 10)
+    assert clear([offer._replace(offer_price="3")], market).clearing_price == 3
+    with pytest.raises(TypeError):  # True == 1, but no number
+        clear([offer._replace(capacity=True)], market)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from flexmarket._numeric import (
     MAX_DECIMAL_EXPONENT,
     MAX_SIGNIFICANT_DIGITS,
@@ -222,10 +223,12 @@ numerators = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(numerators, max_size=8), st.sampled_from([1, 2, 3, 7, 10**40]),
        st.booleans())
-def test_ratio_column_is_ratio_number_per_value(nums, d, rounded):
-    # the same values, or the ValueError of the first value that raises one
+def test_ratio_column_is_shown_per_value(nums, d, rounded):
+    # the values of the reference, or the ValueError of the first value that
+    # raises one there, with its text
+    mode = "paper-rounded" if rounded else "exact"
     try:
-        expected = [ratio_number(n, d, rounded) for n in nums]
+        expected = [ref.shown(Fraction(n, d), mode) for n in nums]
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
             ratio_column(nums, repeat(d), rounded)
@@ -234,6 +237,7 @@ def test_ratio_column_is_ratio_number_per_value(nums, d, rounded):
     column = ratio_column(nums, repeat(d), rounded)
     assert column == expected
     assert list(map(type, column)) == list(map(type, expected))
+    assert [ratio_number(n, d, rounded) for n in nums] == column
 
 
 def test_integral_values_report_as_ints_at_any_size():
