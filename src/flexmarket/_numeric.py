@@ -25,9 +25,8 @@ MAX_DECIMAL_EXPONENT = 400
 # ASCII digits and whitespace only: `int` would also take other scripts' digits.
 _DECIMAL = re.compile(r"\s*([-+]?)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*", re.ASCII)
 _RATIONAL = re.compile(r"\s*([-+]?)0*(\d+)/0*(\d+)\s*", re.ASCII)
-# A plain decimal ("-12.50", ".5", "7") of at most _PLAIN_MAX characters has
-# at most 17 digits and its leading digit within 10**+/-17, inside both bounds.
-_PLAIN_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)", re.ASCII)
+# A JSON number of at most _PLAIN_MAX characters without an exponent has at
+# most 17 digits and its leading digit within 10**+/-17, inside both bounds.
 _PLAIN_MAX = 17
 
 # Beyond the float range, coarse_runs orders values on floor(value * 2**_COARSE_BITS).
@@ -146,33 +145,6 @@ def parse_number(text: str) -> Fraction:
 
 def parse_ratio(text: str) -> tuple[int, int]:
     """parse_number's value as a reduced (numerator, denominator)."""
-    if len(text) <= _PLAIN_MAX and _PLAIN_DECIMAL.fullmatch(text):
-        return json_ratio(text)  # a plain decimal has no exponent
-    return _literal_ratio(text)
-
-
-def json_ratio(text: str) -> tuple[int, int]:
-    """parse_ratio of a JSON number literal. The JSON grammar has checked
-    its digits, so a short one without an exponent skips the regex."""
-    if len(text) > _PLAIN_MAX or "e" in text or "E" in text:
-        return _literal_ratio(text)
-    whole, _, part = text.partition(".")
-    n, d = int(whole + part), 10 ** len(part)
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    g = gcd(n, d)
-    return (n, d) if g == 1 else (n // g, d // g)
-
-
-def _parse_literal(text: str) -> Fraction:
-    """parse_number without its plain-decimal fast path."""
-    return Fraction(*_literal_ratio(text))
-
-
-def _literal_ratio(text: str) -> tuple[int, int]:
     shown = repr(text if len(text) <= 40 else text[:37] + "...")
     match = _DECIMAL.fullmatch(text)
     if match is None or not (match[2] or match[3]):
@@ -210,6 +182,20 @@ def _literal_ratio(text: str) -> tuple[int, int]:
     scale = leading - len(significant) + 1
     numerator = int(sign + significant)
     return (numerator * 10**scale, 1) if scale >= 0 else _reduced(numerator, 10**-scale)
+
+
+def json_ratio(text: str) -> tuple[int, int]:
+    """parse_ratio of a JSON number literal. The JSON grammar has checked
+    its digits, so a short one without an exponent skips the regex."""
+    if len(text) > _PLAIN_MAX or "e" in text or "E" in text:
+        return parse_ratio(text)
+    whole, _, part = text.partition(".")
+    return _reduced(int(whole + part), 10 ** len(part))
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
 
 
 def coarse_runs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[slice]]:
@@ -266,11 +252,6 @@ def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     s, t = da // g, na * (db // g) + nb * (da // g)
     g2 = gcd(t, g)
     return t // g2, s * (db // g2)
-
-
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The exact sum of Fractions, by `ratio_sum`."""
-    return Fraction(*ratio_sum(v.as_integer_ratio() for v in values))
 
 
 # Report formats and rounding modes: here, so the CLI offers them without `reports`.

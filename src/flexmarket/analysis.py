@@ -13,8 +13,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 from ._numeric import frac
 from .capacity import is_paradox, reserve_candidates, reserve_members
+from .plants import tie_key
 from .scenario import Scenario, ScenarioError
-from .spotmarket import _fill, tie_key
+from .spotmarket import _fill
 from .spotmarket import clear_scenario  # perfbench/spans.py traces it at this path
 
 __all__ = ["MAX_GRID_POINTS", "P0Grid", "SweepPoint", "SweepResult", "SweepRun", "p0_range",
@@ -54,16 +55,21 @@ class SweepPoint(NamedTuple):
 
 class SweepRun(NamedTuple):
     """The grid points from index `start` up to the next run's start, which
-    share one merit order. Their dispatch is fixed, so the clearing price is
-    price_base + price_slope·p0 and C_f is fee_slope·p0."""
+    share one merit order, whose first `dispatched_count` plants clear. Their
+    dispatch is fixed, so the clearing price is price_base + price_slope·p0
+    and C_f is fee_slope·p0."""
 
     start: int
     merit_order: tuple[str, ...]
-    dispatched: frozenset[str]
+    dispatched_count: int
     reserve: frozenset[str]  # the pool `capacity` would build in this run
     price_base: Fraction
     price_slope: Fraction
     fee_slope: Fraction
+
+    @property
+    def dispatched(self) -> frozenset[str]:
+        return frozenset(self.merit_order[:self.dispatched_count])
 
     @property
     def depletes(self) -> bool:
@@ -100,11 +106,12 @@ class SweepResult:
         """One SweepPoint per grid point, built on first use."""
         points = []
         for run, p0s in self.pieces():
+            dispatched = run.dispatched
             for p0 in p0s:
                 cf = run.fee_slope * p0
                 points.append(SweepPoint(
                     p0, run.price_base + run.price_slope * p0, run.merit_order,
-                    run.dispatched, cf, run.reserve, is_paradox(run.reserve, cf),
+                    dispatched, cf, run.reserve, is_paradox(run.reserve, cf),
                 ))
         return tuple(points)
 
@@ -218,9 +225,8 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
         merit = tuple(ids[i] for i in order)
         # capacities and demand are ints over e, so the fill's den is 1
         count, rest, _ = _fill(zip(map(cap.__getitem__, order), repeat(1)), (q, 1))
-        dispatched = frozenset(merit[:count])
         try:
-            members = reserve_members(candidates, scenario.capacity, dispatched)
+            members = reserve_members(candidates, scenario.capacity, set(merit[:count]))
         except ValueError as exc:
             raise ValueError(f"p0 = {p0_grid[start]}: {exc}") from None
         fees = sum(map(fee_cap.__getitem__, order[:count]))
@@ -229,7 +235,7 @@ def sweep_p0(scenario: Scenario, p0_grid: P0Grid | Sequence[Fraction]) -> SweepR
             marginal = order[count - 1]
             mc_m, fee_m = mc_num[marginal], fee_num[marginal]
             fees += fee_m * min(rest, 0)  # the marginal plant's unused MW
-        runs.append(SweepRun(start, merit, dispatched, frozenset(members.ids),
+        runs.append(SweepRun(start, merit, count, frozenset(members.ids),
                              Fraction(mc_m, d), Fraction(fee_m, d), Fraction(fees, d * e)))
         start, order = _run_end(order, start, terms, nums, den)
     return SweepResult(p0_grid, tuple(runs))

@@ -13,7 +13,7 @@ from itertools import count
 from typing import Collection, Container, Iterable, NamedTuple, Sequence
 
 from ._numeric import Rows, Validated, coarse_runs, first_duplicate, frac, ratio_sum, sort_runs
-from .plants import Pair, PlantTable, PowerPlant
+from .plants import Pair, PlantTable, PowerPlant, tie_key
 from .scenario import CapacityConfig
 
 __all__ = ["UnallocatableFeeError", "CapacityConfig", "CapacityPool", "CapacitySettlement",
@@ -98,24 +98,23 @@ def eligible_plants(plants: Iterable[PowerPlant],
 
 def reserve_candidates(plants: Sequence[PowerPlant], config: CapacityConfig) -> Members:
     """The plants that may join the reserve, chosen once per scenario, as
-    unchecked members with their own scores: the eligible ones (auto), or
-    the explicit list, whose ids must be known. Each id is one plant here,
-    so no id comes twice."""
+    unchecked members with their own scores: the eligible ones (auto), in
+    `tie_key` order, or the explicit list, whose ids must be known. Each id
+    is one plant here, so no id comes twice."""
     table = PlantTable.of(plants)
-    phis, position = table.phis, dict(zip(table.ids, count()))
+    phis, ids, position = table.phis, table.ids, dict(zip(table.ids, count()))
     if config.participants is None:
         tn, td = config.threshold.as_integer_ratio()
-        above = {p: p[0] * td > tn * p[1] for p in set(phis)}  # each distinct score once
-        kept = [i for i in position.values() if above[phis[i]]]
-        pairs = [(-phis[i][0], phis[i][1]) for i in kept]  # ascending: by descending phi
-        ranked = sort_runs(*coarse_runs(pairs), pairs, lambda k: table.ids[kept[k]])
-        picked = [kept[k] for k in ranked]
+        above = {p for p in set(phis) if p[0] * td > tn * p[1]}  # each distinct score once
+        key = tie_key(above)
+        picked = sorted((i for i in position.values() if phis[i] in above),
+                        key=lambda i: key(phis[i], ids[i]))
     else:
         for pid in config.participants:
             if pid not in position:
                 raise ValueError(f"unknown plant id {pid!r}")
         picked = [position[pid] for pid in config.participants]
-    return Members([table.ids[i] for i in picked], [phis[i] for i in picked],
+    return Members([ids[i] for i in picked], [phis[i] for i in picked],
                    [table.capacities[i] for i in picked])
 
 

@@ -8,9 +8,9 @@ start-up at all (e.g. a wind turbine) scores exactly 0."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._numeric import Rows, Validated, frac
+from ._numeric import Rows, Validated, coarse_runs, frac, sort_runs
 
 __all__ = ["PlantIdError", "PlantTable", "PowerPlant", "StartUpTime", "flexibilities_for",
            "flexibility", "validate_measure"]
@@ -154,6 +154,15 @@ class PlantTable(Rows):
         super().__init__(*columns)
         self._phis: list[Pair] | None = None
 
+    @classmethod
+    def of(cls, rows: Iterable[Any]) -> PlantTable:
+        """The plants as a table; a row that is no PowerPlant is built as one,
+        so it gets PowerPlant's checks and error text."""
+        if isinstance(rows, cls):
+            return rows
+        return super().of(row if isinstance(row, PowerPlant) else PowerPlant(*row)
+                          for row in rows)
+
     def _build(self, fraction: Callable[[Pair], Fraction]) -> Iterator[PowerPlant]:
         starts: dict[Pair | None, StartUpTime] = {}
         for pid, hours, mc, cap in zip(self.ids, self.hours, self.costs, self.capacities):
@@ -178,3 +187,14 @@ def flexibilities_for(plants: Iterable[PowerPlant]) -> dict[str, Fraction]:
     table, built = PlantTable.of(plants), {}  # one Fraction per distinct score
     return {pid: built.get(phi) or built.setdefault(phi, Fraction(*phi))
             for pid, phi in zip(table.ids, table.phis)}
+
+
+def tie_key(phis: Iterable[Pair]) -> Callable[[Pair, str], tuple[int, str]]:
+    """The key of the (-phi, id) order of plants, among these scores (as
+    reduced pairs), which breaks equal offers and orders the reserve: a
+    plant's (phi, id) maps to the rank of phi among the distinct scores,
+    highest first, then the id."""
+    scores = list(dict.fromkeys(phis))
+    ascending = sort_runs(*coarse_runs(scores), scores, lambda i: 0)  # no two are equal
+    rank = {scores[i]: -r for r, i in enumerate(ascending)}
+    return lambda phi, plant_id: (rank[phi], plant_id)

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._numeric import FORMATS, ROUNDING_MODES, exact_sum, ratio_column, ratio_number, to_number
+from ._numeric import FORMATS, ROUNDING_MODES, ratio_column, ratio_number, ratio_sum, to_number
 from .spotmarket import ClearingResult, total_fee
 
 if TYPE_CHECKING:  # for annotations only
@@ -190,7 +190,7 @@ def _svg_stack(result: ClearingResult) -> bytes:
     total_mw = _drawn(result.total_capacity) or 1.0
     clearing_price = _drawn(result.clearing_price)
     max_price = max([_drawn(o.offer_price) for o in result.offers] + [clearing_price, 1.0])
-    demand_mw = _drawn(exact_sum(result.dispatch.values()))
+    demand_mw = _drawn(Fraction(*ratio_sum(result.mw)))
 
     def x(mw: float) -> float:
         return margin + plot_w * mw / total_mw
@@ -252,7 +252,8 @@ def emit_sweep(sweep: SweepResult, format: str = "plain-table",
         prices, fees = [u + s * a for a in nums], [w * a for a in nums]
         columns = _columns([(nums, repeat(den), False), (prices, repeat(v * den), rounded),
                             (fees, repeat(z * den), rounded)])
-        order, dispatched = "|".join(run.merit_order), "|".join(sorted(run.dispatched))
+        order = "|".join(run.merit_order)
+        dispatched = "|".join(sorted(run.merit_order[:run.dispatched_count]))
         reserve = "|".join(sorted(run.reserve))
         cut = 1 if run.depletes and nums[0] == 0 else 0  # no paradox at p0 = 0
         for part, paradox in ((slice(cut), False), (slice(cut, None), run.depletes)):

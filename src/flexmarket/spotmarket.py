@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._numeric import Rows, coarse_runs, first_duplicate, ratio_column, ratio_sum, sort_runs
-from .plants import Pair, PlantTable, PowerPlant
+from .plants import Pair, PlantTable, PowerPlant, tie_key
 from .scenario import MarketConfig, Scenario
 
 __all__ = ["MarketConfig", "Offer", "OfferTable", "ClearingResult", "make_offers", "merit_order",
@@ -100,16 +100,6 @@ def make_offers(plants: Sequence[PowerPlant], config: MarketConfig) -> OfferTabl
     fees = list(map(rate.__getitem__, phis))
     prices = [(mn * fd + fn * md, md * fd) for (mn, md), (fn, fd) in zip(table.costs, fees)]
     return OfferTable(table.ids, prices, fees, phis, table.capacities)
-
-
-def tie_key(phis: Iterable[Pair]) -> Callable[[Pair, str], tuple[int, str]]:
-    """The key that orders plants with equal offers, among these scores (as
-    reduced pairs): a plant's (phi, id) maps to the rank of phi among the
-    distinct scores, highest first, then the id."""
-    scores = list(dict.fromkeys(phis))
-    ascending = sort_runs(*coarse_runs(scores), scores, lambda i: 0)  # no two are equal
-    rank = {scores[i]: -r for r, i in enumerate(ascending)}
-    return lambda phi, plant_id: (rank[phi], plant_id)
 
 
 def merit_order(offers: Sequence[Offer]) -> OfferTable:

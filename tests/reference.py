@@ -347,13 +347,23 @@ capacities = st.one_of(
 )
 
 
+def near_integers(max_value):
+    """k + 1/q for ints 0 <= k <= max_value and 1 <= q <= 2**300, q often
+    above 2**64: values that round to one float but differ exactly, and
+    whose common denominators run to hundreds of bits."""
+    return st.builds(lambda k, q: k + Fraction(1, q), st.integers(min_value=0, max_value=max_value),
+                     st.integers(min_value=1, max_value=2**300)
+                     | st.integers(min_value=2**64, max_value=2**300))
+
+
 @st.composite
-def scenarios(draw):
+def scenarios(draw, start_up=start_up, money=money):
     """A scenario document of 1-12 plants in any order, some of them copies
     of an earlier plant under a new id, which tie with it at every p0. The
     demand is 0, exactly the first k plants of the merit order at p0, any
     share of up to twice the capacity, or just above it: a blackout. The
-    pool is "auto" or a pinned list of eligible plants, possibly empty."""
+    pool is "auto" or a pinned list of eligible plants, possibly empty.
+    `start_up` and `money` draw the start-up times and the costs and p0."""
     rows = []
     for i in range(draw(st.integers(min_value=1, max_value=12))):
         if rows and draw(st.booleans()):
@@ -381,6 +391,12 @@ def scenarios(draw):
     doc["capacity"] = {"threshold": threshold, "participants": draw(st.just("auto") | pinned),
                        "allow_overlap": draw(st.booleans())}
     return doc
+
+
+def large_denominator_scenarios():
+    """`scenarios` whose costs, p0 and start-up times are k + 1/q, q up to
+    2**300."""
+    return scenarios(start_up=st.just("inf") | near_integers(3), money=near_integers(5))
 
 
 def grids(p0_range):

@@ -34,6 +34,9 @@ VALIDATED = [
                  ValueError, "does not exceed threshold", id="CapacityPool"),
     pytest.param(TOY, "plants", (), ScenarioParseError, "at least one plant",
                  id="Scenario"),
+    # a plain tuple is built as a PowerPlant, with its checks
+    pytest.param(TOY, "plants", (("a", StartUpTime(1), -5, 0), ("b", 3, "1/2", -2)),
+                 ValueError, "^a: marginal_cost must be >= 0$", id="Scenario-tuple-rows"),
 ]
 
 

@@ -14,13 +14,12 @@ import reference as ref
 from flexmarket._numeric import (
     MAX_DECIMAL_EXPONENT,
     MAX_SIGNIFICANT_DIGITS,
-    _parse_literal,
     coarse_runs,
-    exact_sum,
     json_ratio,
     parse_number,
     ratio_column,
     ratio_number,
+    ratio_sum,
     sort_runs,
     to_number,
 )
@@ -87,7 +86,32 @@ def test_sort_runs_run_of_distinct_denominators_stays_cheap():
     assert time.perf_counter() - start < 1.0
 
 
-@settings(max_examples=300, deadline=None)
+# Short plain decimals: signs, leading and trailing zeros, a bare point at
+# either end, and lengths around 17 characters, where a JSON float's
+# shortcut (`json_ratio`) ends.
+short_decimals = st.builds(
+    lambda sign, whole, point, part: sign + whole + point + part,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=10),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=10),
+).filter(lambda t: any(c.isdigit() for c in t) and len(t) <= 19)
+
+
+def assert_parse_number_matches_fraction(text):
+    """parse_number gives Fraction's value for ASCII text without "_", or
+    raises ValueError where Fraction does."""
+    try:
+        exact = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_number(text)
+        return
+    assert parse_number(text) == exact
+    assert type(parse_number(text)) is Fraction
+
+
+@settings(max_examples=500, deadline=None)
 @given(
     st.one_of(
         st.integers(min_value=-(10**40), max_value=10**40).map(str),
@@ -99,41 +123,15 @@ def test_sort_runs_run_of_distinct_denominators_stays_cheap():
             st.integers(min_value=-(10**20), max_value=10**20),
             st.integers(min_value=-300, max_value=300),
         ),
+        short_decimals,
     )
 )
 def test_parse_number_matches_fraction_within_the_bounds(text):
-    try:
-        exact = Fraction(text)
-    except ValueError:  # a Decimal such as "sNaN" or a form Fraction lacks
-        return
-    assert parse_number(text) == exact
+    assert_parse_number_matches_fraction(text)
 
 
-# Short plain decimals, the literals parse_number reads on its fast path:
-# signs, leading and trailing zeros, a bare point at either end, and lengths
-# around the 17-character limit.
-short_decimals = st.builds(
-    lambda sign, whole, point, part: sign + whole + point + part,
-    st.sampled_from(["", "-", "+"]),
-    st.text("0123456789", max_size=10),
-    st.sampled_from(["", "."]),
-    st.text("0123456789", max_size=10),
-).filter(lambda t: any(c.isdigit() for c in t) and len(t) <= 19)
-
-
-@settings(max_examples=500, deadline=None)
-@given(short_decimals)
-def test_parse_number_fast_path_matches_the_general_parser(text):
-    try:
-        expected = _parse_literal(text)
-    except ValueError:
-        with pytest.raises(ValueError):
-            parse_number(text)
-        return
-    assert parse_number(text) == expected
-    assert type(parse_number(text)) is Fraction
-
-
+# Fixed cases of the strategies above: plain decimals up to and past 17
+# characters, and text that only looks like one.
 @pytest.mark.parametrize(
     "text",
     ["-0", "+0", "0", "-0.0", "00012.50", "-.5", "+7.", "1.", ".0",
@@ -142,24 +140,20 @@ def test_parse_number_fast_path_matches_the_general_parser(text):
      "0.000000000000001", "0.0000000000000001", "99999999999999999"],
 )
 def test_parse_number_fast_path_at_its_edges(text):
-    assert parse_number(text) == _parse_literal(text) == Fraction(text)
+    assert_parse_number_matches_fraction(text)
 
 
 @pytest.mark.parametrize("text", [".", "-", "+", "-.", "1.2.3", "1e5", " 1", "1 "])
 def test_parse_number_fast_path_leaves_other_text_to_the_general_parser(text):
-    try:
-        expected = _parse_literal(text)
-    except ValueError:
-        with pytest.raises(ValueError):
-            parse_number(text)
-        return
-    assert parse_number(text) == expected
+    assert_parse_number_matches_fraction(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(values, max_size=30))
-def test_exact_sum_matches_sum(terms):
-    assert exact_sum(terms) == sum(terms, Fraction(0))
+def test_ratio_sum_matches_sum(terms):
+    n, d = ratio_sum(v.as_integer_ratio() for v in terms)
+    assert d > 0 and gcd(n, d) == 1
+    assert Fraction(n, d) == sum(terms, Fraction(0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,8 +112,11 @@ def test_cli_pairs_times_the_repo_against_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "validate scenarios/toy-grid.json: 2 pairs, exit 0, 47 stdout bytes"
-    assert [line.split(":")[0] for line in lines[1:]] == ["  parent", "  change", "  pairs won"]
+    assert [line.split(":")[0] for line in lines[1:]] == ["  parent", "  change", "  pairs won",
+                                                          "  peak RSS"]
     assert all(" ms, mean " in line for line in lines[1:3])
+    assert re.fullmatch(r"  peak RSS: parent median [\d.]+ \[[\d.]+-[\d.]+\] MiB, "
+                        r"change median [\d.]+ \[[\d.]+-[\d.]+\] MiB", lines[4])
 
 
 def fake_cli_checkout(root, output):

@@ -79,6 +79,13 @@ class TestSweepMatchesPerPointClearing:
         if sweep is not None:  # the per-point view, built from the runs
             assert sweep.points == ref.sweep_rows(sweep)
 
+    @settings(max_examples=50, deadline=None)
+    @given(ref.large_denominator_scenarios(), grids)
+    def test_points_and_change_points_equal_on_large_denominators(self, doc, grid):
+        sweep = assert_same_result_or_error(doc, grid)
+        if sweep is not None:
+            assert sweep.points == ref.sweep_rows(sweep)
+
     @settings(max_examples=60, deadline=None)
     @given(scenarios_with_long_grids())
     def test_long_runs(self, case):
