@@ -111,7 +111,7 @@ def assert_parse_number_matches_fraction(text):
     assert type(parse_number(text)) is Fraction
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
         st.integers(min_value=-(10**40), max_value=10**40).map(str),
@@ -123,10 +123,15 @@ def assert_parse_number_matches_fraction(text):
             st.integers(min_value=-(10**20), max_value=10**20),
             st.integers(min_value=-300, max_value=300),
         ),
-        short_decimals,
     )
 )
 def test_parse_number_matches_fraction_within_the_bounds(text):
+    assert_parse_number_matches_fraction(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(short_decimals)
+def test_parse_number_fast_path_matches_the_general_parser(text):
     assert_parse_number_matches_fraction(text)
 
 
